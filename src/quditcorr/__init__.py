@@ -74,6 +74,7 @@ from .tomography import (
     direction_sweep,
     mutual_tomographic_information,
     rotation_matrix,
+    spin_rep,
     tomogram,
     tomographic_marginals,
     tomographic_tsallis_relative,

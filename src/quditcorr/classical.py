@@ -86,8 +86,8 @@ class TsallisParam:
 
     def __post_init__(self):
         q = float(self.q)
-        if not q > 0.0 or q == 1.0:
-            raise DomainError(f"Tsallis q = {q} must be positive and != 1")
+        if not 0.0 < q < np.inf or q == 1.0:
+            raise DomainError(f"Tsallis q = {q} must be positive, finite and != 1")
         object.__setattr__(self, "q", q)
 
 

@@ -69,9 +69,9 @@ from .tolerances import (
 )
 from .tomography import (
     Direction,
-    SpinRep,
     direction_sweep,
     mutual_tomographic_information,
+    spin_rep,
     tomogram,
 )
 
@@ -294,7 +294,7 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
     return results, _quantum_checks(state, mutual, chsh)
 
 
-def _cmd_analyze_dm(args) -> Report:
+def _load_state(args) -> tuple[Factorization, DensityMatrix]:
     factorization = Factorization(args.dims)
     state = load_density_matrix(args.input)
     if factorization.total != state.dim:
@@ -302,6 +302,11 @@ def _cmd_analyze_dm(args) -> Report:
             f"dimension mismatch: dims {list(factorization.dims)} give total "
             f"{factorization.total}, matrix is {state.dim}x{state.dim}"
         )
+    return factorization, state
+
+
+def _cmd_analyze_dm(args) -> Report:
+    factorization, state = _load_state(args)
     results, checks = _analyze_density_matrix(state, factorization, args.split)
     request = {
         "subcommand": "analyze-dm",
@@ -319,43 +324,34 @@ def _default_grid() -> list[Direction]:
     return [Direction(theta=float(t), phi=float(p)) for t in thetas for p in phis]
 
 
+def _angles(direction: Direction) -> dict:
+    return {"theta": direction.theta, "phi": direction.phi, "psi": direction.psi}
+
+
 def _cmd_tomogram_sweep(args) -> Report:
-    factorization = Factorization(args.dims)
-    state = load_density_matrix(args.input)
-    if factorization.total != state.dim:
-        raise UsageError(
-            f"dimension mismatch: dims {list(factorization.dims)} give total "
-            f"{factorization.total}, matrix is {state.dim}x{state.dim}"
-        )
-    rep = SpinRep((state.dim - 1) / 2.0)
+    factorization, state = _load_state(args)
+    rep = spin_rep((state.dim - 1) / 2.0)
     grid = load_direction_grid(args.grid) if args.grid else _default_grid()
     qs = _tsallis_params(args.q)
     records = direction_sweep(state, rep, factorization, grid, qs)
 
     if args.out:
-        lines = []
-        for record in records:
-            lines.append(
-                json.dumps(
-                    jsonable(
-                        {
-                            "theta": record.direction.theta,
-                            "phi": record.direction.phi,
-                            "psi": record.direction.psi,
-                            "values": record.values,
-                            "information": record.information,
-                            "tsallis": {
-                                f"{q:g}": rep_q for q, rep_q in record.tsallis.items()
-                            },
-                            "normalization_error": record.normalization_error,
-                        }
-                    ),
-                    sort_keys=True,
-                )
-            )
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        payloads = (
+            {
+                **_angles(r.direction),
+                "values": r.values,
+                "information": r.information,
+                "tsallis": {f"{q:g}": rep_q for q, rep_q in r.tsallis.items()},
+                "normalization_error": r.normalization_error,
+            }
+            for r in records
+        )
+        Path(args.out).write_text(
+            "".join(json.dumps(jsonable(p), sort_keys=True) + "\n" for p in payloads)
+        )
 
-    min_information = min(r.information for r in records)
+    argmin = min(range(len(records)), key=lambda k: records[k].information)
+    min_information = records[argmin].information
     max_norm_error = max(r.normalization_error for r in records)
     checks = [
         CheckRecord(
@@ -391,6 +387,7 @@ def _cmd_tomogram_sweep(args) -> Report:
         "spin_j": rep.j,
         "n_directions": len(records),
         "min_information": min_information,
+        "min_information_direction": {"index": argmin, **_angles(records[argmin].direction)},
         "max_normalization_error": max_norm_error,
     }
     request = {
@@ -543,7 +540,7 @@ def _fuzz_families(rng: np.random.Generator, count: int, qs: list[TsallisParam])
                     qutrit_inequality_tsallis(qutrit, tq).value,
                 )
 
-    spin = SpinRep(1.5)
+    spin = spin_rep(1.5)
     factorization = Factorization((2, 2))
     for _ in range(count):
         state = ginibre_density(rng, 4)

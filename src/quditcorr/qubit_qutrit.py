@@ -20,9 +20,7 @@ from . import _kernels
 from .classical import TsallisParam
 from .errors import DomainError, NotPSD, UsageError
 from .quantum import DensityMatrix
-from .tolerances import BLOCH_ATOL, PSD_ATOL, SUBADDITIVITY_ATOL
-
-_DIAG_SLOP = 1e-12  # float noise window for reconstructed diagonals
+from .tolerances import BLOCH_ATOL, PSD_ATOL, QUTRIT_DIAG_SLOP, SUBADDITIVITY_ATOL
 
 
 def _unit_interval(value: float, name: str) -> float:
@@ -116,7 +114,8 @@ def _qutrit_distributions(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]
     d33 = max(float(state.matrix[2, 2].real), 0.0)
     re13 = float(state.matrix[0, 2].real)
     # |rho13| <= sqrt(rho11 rho33) <= 1/2 for any valid state.
-    assert abs(re13) <= 0.5 + PSD_ATOL
+    if not abs(re13) <= 0.5 + PSD_ATOL:
+        raise DomainError(f"|Re rho13| = {abs(re13)!r} exceeds 1/2")
     return np.array([d11 + d22, d33]), np.array([0.5 + re13, 0.5 - re13])
 
 
@@ -188,7 +187,7 @@ def qutrit_elements_from_probabilities(qe: QutritElements) -> QutritMatrixElemen
     rho22 = 1.0 - qe.p3_2
     rho33 = 1.0 - rho11 - rho22
     for name, value in (("rho11", rho11), ("rho22", rho22), ("rho33", rho33)):
-        if not -_DIAG_SLOP <= value <= 1.0 + _DIAG_SLOP:
+        if not -QUTRIT_DIAG_SLOP <= value <= 1.0 + QUTRIT_DIAG_SLOP:
             raise DomainError(f"reconstructed {name} = {value} outside [0, 1]")
     rho21 = complex(qe.p1_2 - 0.5, qe.p2_2 - 0.5)
     return QutritMatrixElements(

@@ -38,13 +38,6 @@ def ginibre_density(rng: np.random.Generator, dim: int, rank: int | None = None)
     return DensityMatrix(m / np.trace(m))
 
 
-def haar_pure_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Projector onto a Haar-random pure state."""
-    v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()))
-
-
 def bloch_ball_probabilities(rng: np.random.Generator) -> QubitProbabilities:
     """Uniform sample of (p1, p2, p3) over the Bloch ball."""
     direction = rng.standard_normal(3)

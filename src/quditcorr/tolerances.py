@@ -26,6 +26,8 @@ CHSH_ATOL = 1e-9                 # CHSH maximum against closed-form targets
 # Tomograms.
 TOMOGRAM_SUM_ATOL = 1e-10        # normalization check before renormalizing
 TOMOGRAM_NEG_CLAMP = 1e-12      # floating-point negative clamp window
+SPIN_J_ATOL = 1e-9               # how far 2j may sit from an integer
 
-# Qubit probability parametrization.
+# Qubit and qutrit probability parametrizations.
 BLOCH_ATOL = 1e-10               # slack on the squared Bloch radius
+QUTRIT_DIAG_SLOP = 1e-12         # float noise window for reconstructed qutrit diagonals

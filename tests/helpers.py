@@ -94,3 +94,24 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m)
+
+
+def n_dot_j_tomogram(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
+    """Spin tomogram read off the eigenvectors of n.J, without any rotation
+    matrix.  `rho` is in the |m> basis with m descending; eigh returns the
+    eigenvalues ascending, so the result is ordered m = -j first."""
+    dim = rho.shape[0]
+    j = (dim - 1) / 2.0
+    m = j - np.arange(dim)
+    raising = np.zeros((dim, dim))
+    for k in range(1, dim):
+        raising[k - 1, k] = math.sqrt(j * (j + 1.0) - m[k] * (m[k] + 1.0))
+    jx = (raising + raising.T) / 2.0
+    jy = (raising - raising.T) / 2.0j
+    n_dot_j = (
+        math.sin(theta) * math.cos(phi) * jx
+        + math.sin(theta) * math.sin(phi) * jy
+        + math.cos(theta) * np.diag(m)
+    )
+    _, vectors = np.linalg.eigh(n_dot_j)
+    return np.array([(vectors[:, k].conj() @ rho @ vectors[:, k]).real for k in range(dim)])

@@ -160,6 +160,11 @@ class TestTsallis:
             with pytest.raises(DomainError):
                 TsallisParam(q)
 
+    def test_param_rejects_non_finite(self):
+        for q in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                TsallisParam(q)
+
     def test_shannon_limit(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

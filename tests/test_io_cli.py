@@ -196,6 +196,51 @@ class TestTomogramSweep:
         assert abs(first["information"] - LN2) <= 1e-12
         assert "2" in first["tsallis"]
 
+    def test_min_information_direction_named(self, tmp_path, capsys):
+        rho_path = tmp_path / "rho.json"
+        write_density_matrix(bell_matrix(), rho_path)
+        # Along z the Bell-like state gives ln 2; along x it gives less.
+        grid = [{"theta": 0.0, "phi": 0.0}, {"theta": math.pi / 2, "phi": 0.0, "psi": 0.25}]
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        records_path = tmp_path / "records.jsonl"
+        code, out, _ = run_cli(
+            capsys, "tomogram-sweep", "--input", str(rho_path), "--dims", "2,2",
+            "--grid", str(grid_path), "--out", str(records_path),
+        )
+        assert code == 0
+        summary = json.loads(out)
+        results = summary["results"]
+        records = [json.loads(line) for line in records_path.read_text().splitlines()]
+        informations = [r["information"] for r in records]
+        index = informations.index(min(informations))
+        assert index == 1
+        assert results["min_information_direction"] == {
+            "index": index, "theta": math.pi / 2, "phi": 0.0, "psi": 0.25,
+        }
+        assert results["min_information"] == records[index]["information"]
+        assert [c["name"] for c in summary["checks"]] == [
+            "tomographic_information_min",
+            "tomogram_normalization_max_error",
+        ]
+
+    @pytest.mark.parametrize("angle", ["theta", "phi", "psi"])
+    def test_nan_grid_angle_exits_2(self, tmp_path, capsys, angle):
+        rho_path = tmp_path / "rho.json"
+        write_density_matrix(bell_matrix(), rho_path)
+        entry = {"theta": 0.3, "phi": 0.4, "psi": 0.0}
+        entry[angle] = math.nan
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([entry]))  # json writes the bare NaN literal
+        assert "NaN" in grid_path.read_text()
+        code, out, err = run_cli(
+            capsys, "tomogram-sweep", "--input", str(rho_path), "--dims", "2,2",
+            "--grid", str(grid_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and angle in err
+
     def test_default_grid(self, tmp_path, capsys):
         rho_path = tmp_path / "rho.json"
         write_density_matrix(validate(np.eye(4) / 4), rho_path)

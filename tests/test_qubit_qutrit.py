@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ class TestQutritInequalities:
     def test_tsallis_degenerate_diagonal(self):
         value = qutrit_inequality_tsallis(validate(np.diag([0.5, 0.5, 0.0])), TsallisParam(2.0)).value
         assert abs(value - 1.0) < 1e-12
+
+    def test_out_of_range_coherence_raises_domain_error(self):
+        # |Re rho13| > 1/2 cannot come from a valid state; a typed error, not
+        # an assert, must guard it.
+        m = np.diag([0.5, 0.0, 0.5]).astype(complex)
+        m[0, 2] = m[2, 0] = 0.7
+        bogus = SimpleNamespace(dim=3, matrix=m)
+        with pytest.raises(DomainError, match="rho13"):
+            qutrit_inequality_shannon(bogus)
+        with pytest.raises(DomainError, match="rho13"):
+            qutrit_inequality_tsallis(bogus, TsallisParam(2.0))
 
     def test_tsallis_requires_q_above_one(self):
         with pytest.raises(UsageError, match="q > 1"):

@@ -1,9 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import n_dot_j_tomogram, random_density, shannon_ref
 from quditcorr import (
     Direction,
     DomainError,
@@ -16,6 +17,7 @@ from quditcorr import (
     mutual_tomographic_information,
     probabilities_from_qubit,
     rotation_matrix,
+    spin_rep,
     tomogram,
     tomographic_marginals,
     tomographic_tsallis_relative,
@@ -60,6 +62,22 @@ class TestDirection:
             Direction(0.5, 2.0 * math.pi)
         Direction(math.pi, 0.0, psi=-17.3)  # psi unconstrained
 
+    @pytest.mark.parametrize(
+        "angles, name",
+        [
+            ((math.nan, 0.0, 0.0), "theta"),
+            ((math.inf, 0.0, 0.0), "theta"),
+            ((0.3, math.nan, 0.0), "phi"),
+            ((0.3, -math.inf, 0.0), "phi"),
+            ((0.3, 0.4, math.nan), "psi"),
+            ((0.3, 0.4, math.inf), "psi"),
+            ((0.3, 0.4, -math.inf), "psi"),
+        ],
+    )
+    def test_non_finite_angles_rejected(self, angles, name):
+        with pytest.raises(DomainError, match=name):
+            Direction(*angles)
+
 
 class TestSpinRep:
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.5, 3.5])
@@ -73,9 +91,15 @@ class TestSpinRep:
         np.testing.assert_allclose(np.diag(rep.jz).real, [1.5, 0.5, -0.5, -1.5])
 
     def test_invalid_spin(self):
-        for j in (0.0, 0.3, -0.5):
+        for j in (0.0, 0.3, -0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 SpinRep(j)
+
+    def test_shared_rep_built_once_per_j(self):
+        assert spin_rep(2.5) is spin_rep(2.5)
+        assert spin_rep(2.5).j == 2.5 and spin_rep(3.0).dim == 7
+        with pytest.raises(DomainError):
+            spin_rep(0.3)
 
 
 class TestRotationMatrix:
@@ -160,6 +184,19 @@ class TestTomogram:
     def test_dimension_mismatch(self):
         with pytest.raises(UsageError, match="dimension"):
             tomogram(validate(np.eye(2) / 2), SpinRep(1.0), Direction(0.0, 0.0))
+
+    def test_nan_direction_raises(self):
+        # A direction that slipped past validation must not yield a NaN table.
+        direction = object.__new__(Direction)
+        for name, value in (("theta", 0.3), ("phi", 0.4), ("psi", math.nan)):
+            object.__setattr__(direction, name, value)
+        with pytest.raises(DomainError, match="tomogram"):
+            tomogram(validate(np.eye(4) / 4), SpinRep(1.5), direction)
+
+    def test_nan_state_raises(self):
+        state = SimpleNamespace(dim=4, matrix=np.full((4, 4), math.nan, dtype=complex))
+        with pytest.raises(DomainError, match="tomogram"):
+            tomogram(state, SpinRep(1.5), Direction(0.3, 0.4))
 
     def test_matches_qubit_probabilities(self):
         # The x/y/z tomograms of a qubit reproduce (p1, p2, p3).
@@ -317,6 +354,56 @@ class TestDirectionSweep:
             assert record.normalization_error <= 1e-10
             assert record.information >= -1e-10
 
+    def test_records_match_per_table_functions(self):
+        rng = np.random.default_rng(36)
+        f = Factorization((2, 3))
+        rep = SpinRep(2.5)
+        state = validate(random_density(rng, 6))
+        qs = (TsallisParam(0.5), TsallisParam(2.0), TsallisParam(3.0))
+        for record in direction_sweep(state, rep, f, self.grid(4, 4), qs):
+            table = tomogram(state, rep, record.direction)
+            assert np.abs(np.asarray(record.values) - table.values).max() <= 1e-12
+            info = mutual_tomographic_information(table, f)
+            assert abs(record.information - info) <= 1e-12
+            first, second = tomographic_marginals(table, f)
+            oracle = shannon_ref(first.probs) + shannon_ref(second.probs) - shannon_ref(table.values)
+            assert abs(record.information - oracle) <= 1e-12
+            for tq in qs:
+                expected = tomographic_tsallis_report(table, f, tq)
+                got = record.tsallis[tq.q]
+                assert abs(got.s_q1 - expected.s_q1) <= 1e-12
+                assert abs(got.s_q2 - expected.s_q2) <= 1e-12
+                assert abs(got.s_q - expected.s_q) <= 1e-12
+                assert got.subadditivity_holds == expected.subadditivity_holds
+
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError, match="empty"):
             direction_sweep(validate(np.eye(4) / 4), SpinRep(1.5), Factorization((2, 2)), [])
+
+
+class TestLargeSpinOracle:
+    """Rotation route against the n.J eigenvector route at large j."""
+
+    DIRECTIONS = [Direction(0.0, 0.0), Direction(0.7, 1.3), Direction(2.2, 4.9, 0.8),
+                  Direction(math.pi, 5.5)]
+
+    @pytest.mark.parametrize("j, dims", [(31.5, (8, 8)), (127.5, (16, 16))])
+    def test_tomogram_and_sweep(self, j, dims):
+        rng = np.random.default_rng(int(2 * j))
+        rep = SpinRep(j)
+        state = validate(random_density(rng, rep.dim))
+        f = Factorization(dims)
+        records = direction_sweep(state, rep, f, self.DIRECTIONS, (TsallisParam(2.0),))
+        for direction, record in zip(self.DIRECTIONS, records):
+            expected = n_dot_j_tomogram(state.matrix, direction.theta, direction.phi)
+            table = tomogram(state, rep, direction)
+            assert np.abs(table.values - expected).max() <= 1e-12
+            assert np.abs(np.asarray(record.values) - expected).max() <= 1e-12
+            grid = expected.reshape(dims[::-1])
+            info = shannon_ref(grid.sum(axis=0)) + shannon_ref(grid.sum(axis=1)) - shannon_ref(expected)
+            assert abs(record.information - info) <= 1e-12
+            assert abs(record.information - mutual_tomographic_information(table, f)) <= 1e-12
+            report = tomographic_tsallis_report(table, f, TsallisParam(2.0))
+            assert abs(record.tsallis[2.0].s_q1 - report.s_q1) <= 1e-12
+            assert abs(record.tsallis[2.0].s_q2 - report.s_q2) <= 1e-12
+            assert abs(record.tsallis[2.0].s_q - report.s_q) <= 1e-12
