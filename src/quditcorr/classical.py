@@ -15,6 +15,26 @@ from .partition import Factorization, QuditSplit
 from .tolerances import PROB_NEG_CLAMP, PROB_SUM_ATOL, SUBADDITIVITY_ATOL
 
 
+def probability_rows(arr: np.ndarray) -> np.ndarray:
+    """Check every row of an (..., N) float array as ProbabilityVector does,
+    clamp the noise window to zero and renormalize each row, in place."""
+    low = float(arr.min())  # NaN if any entry is NaN
+    if low != low:
+        raise DomainError("probability vector contains NaN")
+    if low < -PROB_NEG_CLAMP:
+        raise DomainError(
+            f"negative probability {low:.3e} below the -{PROB_NEG_CLAMP:.0e} clamp window"
+        )
+    arr[arr < 0.0] = 0.0
+    totals = arr.sum(axis=-1, keepdims=True)
+    gaps = np.abs(totals - 1.0)
+    if not gaps.max() <= PROB_SUM_ATOL:
+        total = float(totals.flat[gaps.argmax()])
+        raise DomainError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_ATOL:.0e}")
+    arr /= totals
+    return arr
+
+
 class ProbabilityVector:
     """Normalized nonnegative vector P(y), y = 1..N.
 
@@ -29,20 +49,7 @@ class ProbabilityVector:
         arr = np.array(values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise UsageError(f"expected a nonempty 1-D vector, got shape {arr.shape}")
-        if np.isnan(arr).any():
-            raise DomainError("probability vector contains NaN")
-        low = float(arr.min())
-        if low < -PROB_NEG_CLAMP:
-            raise DomainError(
-                f"negative probability {low:.3e} below the -{PROB_NEG_CLAMP:.0e} clamp window"
-            )
-        arr[arr < 0.0] = 0.0
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise DomainError(
-                f"probabilities sum to {total!r}, not 1 within {PROB_SUM_ATOL:.0e}"
-            )
-        arr /= total
+        arr = probability_rows(arr)
         arr.flags.writeable = False
         self.probs = arr
 

@@ -18,13 +18,13 @@ from ._version import __version__
 from . import _kernels
 from .classical import (
     JointView,
-    ProbabilityVector,
     TsallisParam,
     conditional,
     marginal,
     subadditivity_report,
 )
 from .errors import ConditioningOnNull, QuditCorrError, UsageError
+from .fuzz import family_table, run_families
 from .io import (
     density_matrix_payload,
     load_density_matrix,
@@ -44,21 +44,7 @@ from .quantum import (
     validate,
     von_neumann_entropy,
 )
-from .qubit_qutrit import (
-    qubit_from_probabilities,
-    qubit_inequality_xy,
-    qubit_inequality_zx,
-    qutrit_inequality_shannon,
-    qutrit_inequality_tsallis,
-)
 from .reporting import CheckRecord, Report, jsonable
-from .sampling import (
-    bloch_ball_probabilities,
-    dirichlet_probabilities,
-    ginibre_density,
-    random_direction,
-    random_factorization,
-)
 from .tolerances import (
     CHSH_ATOL,
     ENTROPY_BOUND_ATOL,
@@ -67,13 +53,7 @@ from .tolerances import (
     SUBADDITIVITY_ATOL,
     TOMOGRAM_SUM_ATOL,
 )
-from .tomography import (
-    Direction,
-    direction_sweep,
-    mutual_tomographic_information,
-    spin_rep,
-    tomogram,
-)
+from .tomography import Direction, direction_sweep, spin_rep
 
 
 def _dims_arg(text: str) -> tuple[int, ...]:
@@ -485,87 +465,21 @@ def _cmd_demo_four_level(args) -> Report:
     return Report(request=request, seed=0, results=results, checks=checks)
 
 
-def _fuzz_families(rng: np.random.Generator, count: int, qs: list[TsallisParam]):
-    margins: dict[str, float] = {}
-    infinities: dict[str, int] = {}
-
-    def record(name: str, value: float):
-        if math.isinf(value):
-            infinities[name] = infinities.get(name, 0) + 1
-            return
-        margins[name] = min(margins.get(name, math.inf), value)
-
-    product_extreme = 0.0
-    for _ in range(count):
-        factorization = random_factorization(rng, max_total=64)
-        vector = dirichlet_probabilities(rng, factorization.total)
-        view = JointView(vector, factorization)
-        split = QuditSplit(factorization, int(rng.integers(1, factorization.num_axes)))
-        record("classical_subadditivity", subadditivity_report(view, split).mutual_info)
-
-        left = dirichlet_probabilities(rng, int(rng.integers(2, 7)))
-        right = dirichlet_probabilities(rng, int(rng.integers(2, 7)))
-        product = ProbabilityVector(np.outer(right.probs, left.probs).ravel())
-        product_view = JointView(
-            product, Factorization((len(left), len(right)))
-        )
-        product_split = QuditSplit(product_view.factorization, 1)
-        product_extreme = max(
-            product_extreme,
-            abs(subadditivity_report(product_view, product_split).mutual_info),
-        )
-
-    for _ in range(count):
-        factorization = random_factorization(rng, max_total=16, max_axes=3)
-        state = ginibre_density(rng, factorization.total)
-        reshaped = ReshapedState(state, factorization)
-        for s in range(1, factorization.num_axes):
-            record(
-                "quantum_mutual_information",
-                mutual_quantum_information(reshaped, QuditSplit(factorization, s)),
-            )
-
-    for _ in range(count):
-        qubit = qubit_from_probabilities(bloch_ball_probabilities(rng))
-        record("qubit_zx", qubit_inequality_zx(qubit).value)
-        record("qubit_xy", qubit_inequality_xy(qubit).value)
-
-    for _ in range(count):
-        qutrit = ginibre_density(rng, 3)
-        record("qutrit_shannon", qutrit_inequality_shannon(qutrit).value)
-        for tq in qs:
-            if tq.q > 1.0:
-                record(
-                    f"qutrit_tsallis_q={tq.q:g}",
-                    qutrit_inequality_tsallis(qutrit, tq).value,
-                )
-
-    spin = spin_rep(1.5)
-    factorization = Factorization((2, 2))
-    for _ in range(count):
-        state = ginibre_density(rng, 4)
-        table = tomogram(state, spin, random_direction(rng))
-        record(
-            "tomographic_information",
-            mutual_tomographic_information(table, factorization),
-        )
-
-    return margins, infinities, product_extreme
-
-
 def _cmd_fuzz(args) -> Report:
     if args.count < 1:
         raise UsageError(f"count must be positive, got {args.count}")
     qs = _tsallis_params(args.q, default=(1.5, 2.0, 3.0))
+    table = family_table(qs)
     rng = np.random.default_rng(args.seed)
-    margins, infinities, product_extreme = _fuzz_families(rng, args.count, qs)
+    margins, infinities, product_extreme = run_families(rng, args.count, table)
 
+    tolerances = {family.name: family.tolerance for family in table}
     checks = [
         CheckRecord(
             name=f"{name}_min_margin",
             value=value,
-            holds=bool(value >= -(QUANTUM_MUTUAL_ATOL if name == "quantum_mutual_information" else SUBADDITIVITY_ATOL)),
-            tolerance=QUANTUM_MUTUAL_ATOL if name == "quantum_mutual_information" else SUBADDITIVITY_ATOL,
+            holds=bool(value >= -tolerances[name]),
+            tolerance=tolerances[name],
         )
         for name, value in sorted(margins.items())
     ]

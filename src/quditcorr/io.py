@@ -45,12 +45,15 @@ def load_density_matrix(path) -> DensityMatrix:
     data = json.loads(path.read_text())
     if not isinstance(data, dict) or "re" not in data:
         raise UsageError(f"{path}: expected an object with 'dim' and 're'/'im' arrays")
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        re = np.asarray(data["re"], dtype=float)
+        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
+        declared = None if data.get("dim") is None else int(data["dim"])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: 'dim', 're' and 'im' must be numeric: {exc}") from None
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise UsageError(f"{path}: 're' and 'im' must be matching square matrices")
-    declared = data.get("dim")
-    if declared is not None and int(declared) != re.shape[0]:
+    if declared is not None and declared != re.shape[0]:
         raise UsageError(f"{path}: declared dim {declared} != matrix dimension {re.shape[0]}")
     return validate(re + 1.0j * im)
 
@@ -77,11 +80,10 @@ def load_direction_grid(path) -> list[Direction]:
     for k, entry in enumerate(data):
         if not isinstance(entry, dict) or "theta" not in entry or "phi" not in entry:
             raise UsageError(f"{path}: entry {k} must carry 'theta' and 'phi'")
-        grid.append(
-            Direction(
-                theta=float(entry["theta"]),
-                phi=float(entry["phi"]),
-                psi=float(entry.get("psi", 0.0)),
-            )
-        )
+        try:
+            theta, phi = float(entry["theta"]), float(entry["phi"])
+            psi = float(entry.get("psi", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{path}: entry {k} has a non-numeric angle: {exc}") from None
+        grid.append(Direction(theta=theta, phi=phi, psi=psi))
     return grid

@@ -106,7 +106,11 @@ def decompose(y: int, factorization: Factorization) -> MultiIndex:
     for d in factorization.dims:
         coords.append(rem % d + 1)
         rem //= d
-    return MultiIndex(tuple(coords), factorization)
+    # The digits are in range by construction, so skip MultiIndex's checks.
+    index = object.__new__(MultiIndex)
+    object.__setattr__(index, "coords", tuple(coords))
+    object.__setattr__(index, "factorization", factorization)
+    return index
 
 
 def split_index(y: int, split: QuditSplit) -> tuple[int, int]:

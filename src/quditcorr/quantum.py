@@ -28,6 +28,24 @@ _PAULIS = (
 _PPT_DECISIVE = {(2, 2), (2, 3), (3, 2)}
 
 
+def validate_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check that each (..., N, N) matrix is Hermitian, of unit trace and PSD
+    (every check also fails on NaN); return the Hermitian parts and spectra."""
+    adjoint = np.conj(np.swapaxes(m, -1, -2))
+    herm_gap = float(np.abs(m - adjoint).max())
+    if not herm_gap <= HERMITIAN_ATOL:
+        raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {HERMITIAN_ATOL:.0e}")
+    trace_gap = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
+    if not trace_gap <= TRACE_ATOL:
+        raise TraceNotOne(f"|Tr rho - 1| = {trace_gap:.3e} exceeds {TRACE_ATOL:.0e}")
+    sym = (m + adjoint) / 2.0
+    eigenvalues = np.linalg.eigvalsh(sym)
+    low = float(eigenvalues.min())
+    if not low >= -PSD_ATOL:
+        raise NotPSD(f"min eigenvalue = {low:.3e} below -{PSD_ATOL:.0e}")
+    return sym, eigenvalues
+
+
 class DensityMatrix:
     """Validated Hermitian, unit-trace, positive-semidefinite matrix.
 
@@ -43,29 +61,12 @@ class DensityMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UsageError(f"density matrix must be square, got shape {m.shape}")
-        herm_gap = float(np.abs(m - m.conj().T).max())
-        if herm_gap > HERMITIAN_ATOL:
-            raise NotHermitian(
-                f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {HERMITIAN_ATOL:.0e}"
-            )
-        trace_gap = abs(complex(np.trace(m)) - 1.0)
-        if trace_gap > TRACE_ATOL:
-            raise TraceNotOne(f"|Tr rho - 1| = {trace_gap:.3e} exceeds {TRACE_ATOL:.0e}")
-        sym = (m + m.conj().T) / 2.0
-        eigenvalues = np.linalg.eigvalsh(sym)
-        if float(eigenvalues.min()) < -PSD_ATOL:
-            raise NotPSD(
-                f"min eigenvalue = {eigenvalues.min():.3e} below -{PSD_ATOL:.0e}"
-            )
+        sym, eigenvalues = validate_stack(m)
         sym.flags.writeable = False
         eigenvalues.flags.writeable = False
         self.matrix = sym
         self.dim = int(m.shape[0])
         self.eigenvalues = eigenvalues
-
-    def clamped_spectrum(self) -> np.ndarray:
-        """Eigenvalues with the [-PSD_ATOL, 0) validation slack zeroed."""
-        return np.where(self.eigenvalues < 0.0, 0.0, self.eigenvalues)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -95,30 +96,41 @@ class ReshapedState:
             )
 
 
+# einsum partial traces over a (..., b, a, b', a') block view.
+KEEP_LEADING = "...ijil->...jl"
+KEEP_TRAILING = "...ijkj->...ik"
+
+
+def block_view(matrix: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
+    """Reshape (..., N, N) to axes (..., b, a, b', a'): a/a' index the leading
+    block (fast), b/b' the trailing block (slow)."""
+    return matrix.reshape(*matrix.shape[:-2], d_right, d_left, d_right, d_left)
+
+
 def _block_view(rs: ReshapedState, split: QuditSplit) -> np.ndarray:
-    """Reshape to axes (b, a, b', a'): a/a' index the leading block (fast),
-    b/b' the trailing block (slow)."""
     if split.factorization != rs.factorization:
         raise UsageError("split does not belong to the reshaped state's factorization")
-    d_left, d_right = split.dim_left, split.dim_right
-    return rs.base.matrix.reshape(d_right, d_left, d_right, d_left)
+    return block_view(rs.base.matrix, split.dim_left, split.dim_right)
 
 
 def partial_trace_right(rs: ReshapedState, split: QuditSplit) -> DensityMatrix:
     """Reduced state of the leading block: rho(1)_{a,a'} = sum_b rho_{(a,b),(a',b)}."""
-    block = _block_view(rs, split)
-    return DensityMatrix(np.einsum("ijil->jl", block))
+    return DensityMatrix(np.einsum(KEEP_LEADING, _block_view(rs, split)))
 
 
 def partial_trace_left(rs: ReshapedState, split: QuditSplit) -> DensityMatrix:
     """Reduced state of the trailing block: rho(2)_{b,b'} = sum_a rho_{(a,b),(a,b')}."""
-    block = _block_view(rs, split)
-    return DensityMatrix(np.einsum("ijkj->ik", block))
+    return DensityMatrix(np.einsum(KEEP_TRAILING, _block_view(rs, split)))
+
+
+def spectral_entropy(eigenvalues: np.ndarray):
+    """Entropy in nats of (..., N) spectra, the [-PSD_ATOL, 0) slack zeroed."""
+    return _kernels.shannon(np.where(eigenvalues < 0.0, 0.0, eigenvalues))
 
 
 def von_neumann_entropy(state: DensityMatrix) -> float:
     """-Tr rho ln rho over the clamped spectrum, in nats."""
-    return _kernels.shannon(state.clamped_spectrum())
+    return spectral_entropy(state.eigenvalues)
 
 
 def mutual_quantum_information(rs: ReshapedState, split: QuditSplit) -> float:

@@ -23,11 +23,29 @@ from .quantum import DensityMatrix
 from .tolerances import BLOCH_ATOL, PSD_ATOL, QUTRIT_DIAG_SLOP, SUBADDITIVITY_ATOL
 
 
-def _unit_interval(value: float, name: str) -> float:
-    value = float(value)
-    if not -PSD_ATOL <= value <= 1.0 + PSD_ATOL:
-        raise DomainError(f"{name} = {value} outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
+def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return np.stack([first, second], axis=-1)
+
+
+def _unit_interval(values, names) -> np.ndarray:
+    """Clamp (..., k) probabilities named `names` into [0, 1]; reject any
+    (NaN too) further than PSD_ATOL outside it."""
+    values = np.array(values, dtype=float)
+    bad = ~((-PSD_ATOL <= values) & (values <= 1.0 + PSD_ATOL))
+    if bad.any():
+        where = tuple(np.argwhere(bad)[0])
+        raise DomainError(f"{names[where[-1]]} = {float(values[where])} outside [0, 1]")
+    return np.clip(values, 0.0, 1.0)
+
+
+def bloch_probabilities(values) -> np.ndarray:
+    """Check (..., 3) spin-projection probabilities (p1, p2, p3) as
+    QubitProbabilities does; return them clamped into [0, 1]."""
+    p = _unit_interval(values, ("p1", "p2", "p3"))
+    worst = float(((2.0 * p - 1.0) ** 2).sum(axis=-1).max())
+    if not worst <= 1.0 + BLOCH_ATOL:
+        raise NotPSD(f"squared Bloch radius {worst:.12f} exceeds 1")
+    return p
 
 
 @dataclass(frozen=True)
@@ -39,23 +57,21 @@ class QubitProbabilities:
     p3: float
 
     def __post_init__(self):
-        for name in ("p1", "p2", "p3"):
-            object.__setattr__(self, name, _unit_interval(getattr(self, name), name))
-        radius_sq = (
-            (2.0 * self.p1 - 1.0) ** 2
-            + (2.0 * self.p2 - 1.0) ** 2
-            + (2.0 * self.p3 - 1.0) ** 2
-        )
-        if radius_sq > 1.0 + BLOCH_ATOL:
-            raise NotPSD(f"squared Bloch radius {radius_sq:.12f} exceeds 1")
+        p = bloch_probabilities((self.p1, self.p2, self.p3))
+        for name, value in zip(("p1", "p2", "p3"), p.tolist()):
+            object.__setattr__(self, name, value)
+
+
+def qubit_matrices(p: np.ndarray) -> np.ndarray:
+    """Unvalidated 2x2 matrices [[p3, off], [off*, 1 - p3]] with
+    off = (p1 - 1/2) - i (p2 - 1/2), for (..., 3) probabilities."""
+    off, p3 = (p[..., 0] - 0.5) - 1.0j * (p[..., 1] - 0.5), p[..., 2]
+    return np.stack([_pair(p3, off), _pair(off.conj(), 1.0 - p3)], axis=-2)
 
 
 def qubit_from_probabilities(qp: QubitProbabilities) -> DensityMatrix:
     """Reconstruct the 2x2 density matrix from (p1, p2, p3)."""
-    off = (qp.p1 - 0.5) - 1.0j * (qp.p2 - 0.5)
-    return DensityMatrix(
-        np.array([[qp.p3, off], [off.conjugate(), 1.0 - qp.p3]], dtype=complex)
-    )
+    return DensityMatrix(qubit_matrices(np.array([qp.p1, qp.p2, qp.p3])))
 
 
 def probabilities_from_qubit(state: DensityMatrix) -> QubitProbabilities:
@@ -84,39 +100,43 @@ def _result(value: float) -> InequalityResult:
     return InequalityResult(value=value, holds=bool(value >= -SUBADDITIVITY_ATOL))
 
 
+def zx_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x-axis and z-axis distributions of (..., 2, 2) qubit matrices."""
+    re = m[..., 0, 1].real
+    z = np.maximum(_pair(m[..., 0, 0].real, m[..., 1, 1].real), 0.0)
+    return _pair(0.5 + re, 0.5 - re), z
+
+
+def xy_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x-axis and y-axis distributions; the y-axis one is (p2, 1 - p2) with
+    p2 = 1/2 - Im rho12, so the + Re term pairs with the - Im one."""
+    re, im = m[..., 0, 1].real, m[..., 0, 1].imag
+    return _pair(0.5 + re, 0.5 - re), _pair(0.5 - im, 0.5 + im)
+
+
 def qubit_inequality_zx(state: DensityMatrix) -> InequalityResult:
     """Relative entropy of the x-axis distribution against the z-axis one:
     D((1/2 + Re rho12, 1/2 - Re rho12) || (rho11, rho22))."""
     _require_dim(state, 2)
-    re = float(state.matrix[0, 1].real)
-    p = np.array([0.5 + re, 0.5 - re])
-    r = np.array([max(float(state.matrix[0, 0].real), 0.0), max(float(state.matrix[1, 1].real), 0.0)])
-    return _result(_kernels.relative_shannon(p, r))
+    return _result(_kernels.relative_shannon(*zx_distributions(state.matrix)))
 
 
 def qubit_inequality_xy(state: DensityMatrix) -> InequalityResult:
-    """Relative entropy of the x-axis distribution against the y-axis one.
-
-    The y-axis distribution is (p2, 1 - p2) with p2 = 1/2 - Im rho12, so the
-    + Re term pairs with the - Im one."""
+    """Relative entropy of the x-axis distribution against the y-axis one."""
     _require_dim(state, 2)
-    re = float(state.matrix[0, 1].real)
-    im = float(state.matrix[0, 1].imag)
-    p = np.array([0.5 + re, 0.5 - re])
-    r = np.array([0.5 - im, 0.5 + im])
-    return _result(_kernels.relative_shannon(p, r))
+    return _result(_kernels.relative_shannon(*xy_distributions(state.matrix)))
 
 
-def _qutrit_distributions(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    _require_dim(state, 3)
-    d11 = max(float(state.matrix[0, 0].real), 0.0)
-    d22 = max(float(state.matrix[1, 1].real), 0.0)
-    d33 = max(float(state.matrix[2, 2].real), 0.0)
-    re13 = float(state.matrix[0, 2].real)
+def qutrit_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rho11 + rho22, rho33) and (1/2 + Re rho13, 1/2 - Re rho13) of
+    (..., 3, 3) qutrit matrices."""
+    d = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).real, 0.0)
+    re13 = m[..., 0, 2].real
     # |rho13| <= sqrt(rho11 rho33) <= 1/2 for any valid state.
-    if not abs(re13) <= 0.5 + PSD_ATOL:
-        raise DomainError(f"|Re rho13| = {abs(re13)!r} exceeds 1/2")
-    return np.array([d11 + d22, d33]), np.array([0.5 + re13, 0.5 - re13])
+    worst = float(np.abs(re13).max())
+    if not worst <= 0.5 + PSD_ATOL:
+        raise DomainError(f"|Re rho13| = {worst!r} exceeds 1/2")
+    return _pair(d[..., 0] + d[..., 1], d[..., 2]), _pair(0.5 + re13, 0.5 - re13)
 
 
 def qutrit_inequality_shannon(state: DensityMatrix, as_printed: bool = False) -> InequalityResult:
@@ -126,7 +146,8 @@ def qutrit_inequality_shannon(state: DensityMatrix, as_printed: bool = False) ->
     (rho33 + rho22); that variant is evaluable but is not a relative entropy
     and carries no nonnegativity guarantee.
     """
-    p, r = _qutrit_distributions(state)
+    _require_dim(state, 3)
+    p, r = qutrit_distributions(state.matrix)
     if not as_printed:
         return _result(_kernels.relative_shannon(p, r))
     d22 = max(float(state.matrix[1, 1].real), 0.0)
@@ -145,7 +166,8 @@ def qutrit_inequality_tsallis(state: DensityMatrix, tq: TsallisParam) -> Inequal
     (1/(q-1)) [ (rho11+rho22)^q (1/2+Re rho13)^(1-q) + rho33^q (1/2-Re rho13)^(1-q) - 1 ]."""
     if tq.q <= 1.0:
         raise UsageError(f"the Tsallis matrix-element inequality needs q > 1, got q = {tq.q}")
-    p, r = _qutrit_distributions(state)
+    _require_dim(state, 3)
+    p, r = qutrit_distributions(state.matrix)
     return _result(_kernels.relative_tsallis(p, r, tq.q))
 
 
@@ -165,8 +187,9 @@ class QutritElements:
     p3_3: float
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, _unit_interval(getattr(self, name), name))
+        names = tuple(self.__dataclass_fields__)
+        for name, value in zip(names, _unit_interval([getattr(self, n) for n in names], names)):
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)

@@ -37,15 +37,22 @@ class Direction:
     psi: float = 0.0
 
     def __post_init__(self):
-        theta, phi, psi = float(self.theta), float(self.phi), float(self.psi)
-        if not 0.0 <= theta <= math.pi:
-            raise DomainError(f"theta = {theta} outside [0, pi]")
-        if not 0.0 <= phi < 2.0 * math.pi:
-            raise DomainError(f"phi = {phi} outside [0, 2*pi)")
-        if not math.isfinite(psi):
-            raise DomainError(f"psi = {psi} is not finite")
-        for name, value in (("theta", theta), ("phi", phi), ("psi", psi)):
+        angles = check_angles(float(self.theta), float(self.phi), float(self.psi))
+        for name, value in zip(("theta", "phi", "psi"), angles):
             object.__setattr__(self, name, value)
+
+
+def check_angles(theta, phi, psi):
+    """Reject theta outside [0, pi], phi outside [0, 2 pi) or a non-finite
+    psi, given single angles or arrays of them; return the angles."""
+    for name, value, ok, what in (
+        ("theta", theta, (0.0 <= theta) & (theta <= math.pi), "outside [0, pi]"),
+        ("phi", phi, (0.0 <= phi) & (phi < 2.0 * math.pi), "outside [0, 2*pi)"),
+        ("psi", psi, abs(psi) < math.inf, "is not finite"),
+    ):
+        if ok is not True and not np.all(ok):  # floats give a bool, arrays an array
+            raise DomainError(f"{name} = {np.extract(np.logical_not(ok), value)[0]} {what}")
+    return theta, phi, psi
 
 
 class SpinRep:
@@ -101,11 +108,16 @@ def rotation_matrix(rep: SpinRep, direction: Direction) -> np.ndarray:
     The psi factor sits outermost, which is what makes tomograms
     psi-independent.
     """
+    return rotations(rep, direction.theta, direction.phi, direction.psi or None)
+
+
+def rotations(rep: SpinRep, theta, phi, psi=None) -> np.ndarray:
+    """`rotation_matrix` from angles, or a (..., N, N) stack from angle arrays."""
     w, v, v_dagger = rep._jy_spectrum
-    u = (v * np.exp(1.0j * direction.theta * w)) @ v_dagger
-    if direction.psi:  # e^{i 0 Jz} is exactly the identity
-        u = np.exp(1.0j * direction.psi * rep.m_values)[:, None] * u
-    return u * np.exp(1.0j * direction.phi * rep.m_values)[None, :]
+    u = (v * np.exp(1.0j * np.multiply.outer(theta, w))[..., None, :]) @ v_dagger
+    if psi is not None:  # e^{i 0 Jz} is exactly the identity
+        u = np.exp(1.0j * np.multiply.outer(psi, rep.m_values))[..., :, None] * u
+    return u * np.exp(1.0j * np.multiply.outer(phi, rep.m_values))[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,51 +137,57 @@ def tomogram(state: DensityMatrix, rep: SpinRep, direction: Direction) -> Tomogr
     """
     if state.dim != rep.dim:
         raise UsageError(f"state dimension {state.dim} does not match spin dimension {rep.dim}")
-    u = rotation_matrix(rep, direction)
-    # diag(u rho u^dagger) = rowsum((u rho) * conj(u)); u is ours to conjugate in place.
-    rotated = u @ state.matrix
+    values, error = tomogram_values(rotation_matrix(rep, direction), state.matrix)
+    values.flags.writeable = False
+    return TomogramTable(direction=direction, values=values, normalization_error=float(error))
+
+
+def tomogram_values(u: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, renormalized diag(u rho u^dagger) = rowsum((u rho) * conj(u))
+    in flat-index order, and |raw sum - 1|; u (consumed) and rho may be stacks."""
+    rotated = u @ rho
     rotated *= np.conj(u, out=u)
-    diag = rotated.sum(axis=1)
+    diag = rotated.sum(axis=-1)
     # Every check below also fails on NaN.
     imag_gap = float(np.abs(diag.imag).max())
     if not imag_gap <= TOMOGRAM_SUM_ATOL:
         raise DomainError(f"tomogram diagonal has imaginary part {imag_gap:.3e}")
-    values = diag.real[::-1].copy()  # storage is m descending; tables are y-ordered
+    values = diag.real[..., ::-1].copy()  # storage is m descending; tables are y-ordered
     low = float(values.min())
     if not low >= -TOMOGRAM_NEG_CLAMP:
         raise DomainError(f"tomogram value {low:.3e} below the clamp window")
     if not float(values.max()) <= 1.0 + PSD_ATOL:
         raise DomainError(f"tomogram value {values.max():.3e} exceeds 1")
     values[values < 0.0] = 0.0
-    raw_sum = float(values.sum())
-    error = abs(raw_sum - 1.0)
-    if not error <= TOMOGRAM_SUM_ATOL:
+    raw_sums = values.sum(axis=-1, keepdims=True)
+    errors = np.abs(raw_sums - 1.0)
+    if not errors.max() <= TOMOGRAM_SUM_ATOL:
+        raw_sum = float(raw_sums.flat[errors.argmax()])
         raise DomainError(f"tomogram sums to {raw_sum!r}, off by more than {TOMOGRAM_SUM_ATOL:.0e}")
-    values /= raw_sum
-    values.flags.writeable = False
-    return TomogramTable(direction=direction, values=values, normalization_error=error)
+    values /= raw_sums
+    return values, errors[..., 0]
 
 
-def _marginal_pair(values: np.ndarray, factorization: Factorization):
+def marginal_pair(values: np.ndarray, factorization: Factorization):
     """Both marginals of a validated table as arrays, renormalized exactly as
     ProbabilityVector would, without validating them again."""
     if factorization.num_axes != 2:
         raise UsageError(f"tomographic analysis splits into two axes, got {factorization.num_axes}")
-    if factorization.total != values.size:
+    if factorization.total != values.shape[-1]:
         raise UsageError(
             f"dimension mismatch: factorization total {factorization.total} "
-            f"!= tomogram length {values.size}"
+            f"!= tomogram length {values.shape[-1]}"
         )
-    tensor = values.reshape(factorization.dims[::-1])  # the first axis is the fastest
-    first, second = tensor.sum(axis=0), tensor.sum(axis=1)
-    return first / first.sum(), second / second.sum()
+    tensor = values.reshape(*values.shape[:-1], *factorization.dims[::-1])  # first axis fastest
+    first, second = tensor.sum(axis=-2), tensor.sum(axis=-1)
+    return first / first.sum(axis=-1, keepdims=True), second / second.sum(axis=-1, keepdims=True)
 
 
 def tomographic_marginals(
     table: TomogramTable, factorization: Factorization
 ) -> tuple[ProbabilityVector, ProbabilityVector]:
     """Marginals of the tomogram viewed through a two-axis partition."""
-    first, second = _marginal_pair(table.values, factorization)
+    first, second = marginal_pair(table.values, factorization)
     return ProbabilityVector(first), ProbabilityVector(second)
 
 
@@ -181,13 +199,18 @@ class TsallisTomogramReport:
     subadditivity_holds: bool
 
 
-def _information(first, second, values) -> float:
+def split_information(first, second, values):
+    """S1 + S2 - S from the marginals and the table, single or stacked."""
     return _kernels.shannon(first) + _kernels.shannon(second) - _kernels.shannon(values)
 
 
-def _tsallis_report(first, second, values, q: float) -> TsallisTomogramReport:
-    s_q1, s_q2, s_q = (_kernels.tsallis(p, q) for p in (first, second, values))
-    return TsallisTomogramReport(s_q1, s_q2, s_q, bool(s_q1 + s_q2 - s_q >= -SUBADDITIVITY_ATOL))
+def _tsallis_reports(first, second, values, q: float) -> list[TsallisTomogramReport]:
+    """One report per row of (..., N) marginals and tables."""
+    entropies = np.array([_kernels.tsallis(p, q) for p in (first, second, values)]).reshape(3, -1)
+    return [
+        TsallisTomogramReport(s_q1, s_q2, s_q, bool(s_q1 + s_q2 - s_q >= -SUBADDITIVITY_ATOL))
+        for s_q1, s_q2, s_q in entropies.T.tolist()
+    ]
 
 
 def tomographic_tsallis_report(
@@ -195,8 +218,7 @@ def tomographic_tsallis_report(
 ) -> TsallisTomogramReport:
     """Tsallis entropies of the two tomographic marginals and the joint,
     with the subadditivity verdict S_q1 + S_q2 >= S_q."""
-    first, second = _marginal_pair(table.values, factorization)
-    return _tsallis_report(first, second, table.values, tq.q)
+    return _tsallis_reports(*marginal_pair(table.values, factorization), table.values, tq.q)[0]
 
 
 def tomographic_tsallis_relative(
@@ -220,7 +242,7 @@ def tomographic_tsallis_relative(
 def mutual_tomographic_information(table: TomogramTable, factorization: Factorization) -> float:
     """S1 + S2 - S of the tomogram's partition view; zero means no hidden
     correlations at this direction."""
-    return _information(*_marginal_pair(table.values, factorization), table.values)
+    return split_information(*marginal_pair(table.values, factorization), table.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,23 +263,24 @@ def direction_sweep(
 ) -> list[SweepRecord]:
     """Evaluate the tomographic diagnostics over a direction grid.
 
-    One record per direction, in grid order.
+    One record per direction, in grid order.  Tomograms are taken one
+    direction at a time; marginals and entropies once, over their stack.
     """
     directions = list(grid)
     if not directions:
         raise UsageError("direction grid is empty")
-    qs = tuple(qs)
-    records = []
-    for direction in directions:
-        table = tomogram(state, rep, direction)
-        first, second = _marginal_pair(table.values, factorization)
-        records.append(
-            SweepRecord(
-                direction=direction,
-                values=tuple(table.values.tolist()),
-                information=_information(first, second, table.values),
-                tsallis={tq.q: _tsallis_report(first, second, table.values, tq.q) for tq in qs},
-                normalization_error=table.normalization_error,
-            )
+    tables = [tomogram(state, rep, direction) for direction in directions]
+    values = np.stack([table.values for table in tables])
+    first, second = marginal_pair(values, factorization)
+    information = split_information(first, second, values).tolist()
+    tsallis = {tq.q: _tsallis_reports(first, second, values, tq.q) for tq in qs}
+    return [
+        SweepRecord(
+            direction=table.direction,
+            values=tuple(row),
+            information=information[k],
+            tsallis={q: reports[k] for q, reports in tsallis.items()},
+            normalization_error=table.normalization_error,
         )
-    return records
+        for k, (table, row) in enumerate(zip(tables, values.tolist()))
+    ]

@@ -249,6 +249,44 @@ class TestTomogramSweep:
         assert json.loads(out)["results"]["n_directions"] == 100
 
 
+def _nan_diagonal_4x4():
+    re = np.eye(4) / 4
+    re[1, 1] = math.nan
+    return {"dim": 4, "re": re.tolist(), "im": np.zeros((4, 4)).tolist()}
+
+
+_BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
+# (name, subcommand, state file, grid file or None, dims, exit code, message fragment)
+_MALFORMED = [
+    ("all_nan_2x2", "analyze-dm", {"dim": 2, "re": [[math.nan] * 2] * 2}, None, "2,1", 2,
+     "rho^dagger"),
+    ("nan_diagonal_analyze", "analyze-dm", _nan_diagonal_4x4(), None, "2,2", 2, "rho^dagger"),
+    ("nan_diagonal_sweep", "tomogram-sweep", _nan_diagonal_4x4(), None, "2,2", 2, "rho^dagger"),
+    ("string_matrix", "analyze-dm", {"re": "x"}, None, "2,1", 2, "must be numeric"),
+    ("string_angle", "tomogram-sweep", _BELL, [{"theta": "x", "phi": 0.1}], "2,2", 2,
+     "entry 0 has a non-numeric angle"),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, state, grid, dims, code, fragment",
+    [row[1:] for row in _MALFORMED],
+    ids=[row[0] for row in _MALFORMED],
+)
+def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims, code, fragment):
+    state_path = tmp_path / "rho.json"
+    state_path.write_text(json.dumps(state))  # json writes NaN as the bare literal
+    argv = [subcommand, "--input", str(state_path), "--dims", dims]
+    if grid is not None:
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        argv += ["--grid", str(grid_path)]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err
+
+
 class TestDemoAndFuzz:
     def test_demo_checks_hold(self, capsys):
         code, out, _ = run_cli(capsys, "demo-four-level")
