@@ -15,6 +15,7 @@ from .classical import (
     relative_entropy_shannon,
     relative_entropy_tsallis,
     shannon_entropy,
+    split_conditionals,
     subadditivity_report,
     tsallis_entropy,
 )

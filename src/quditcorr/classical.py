@@ -161,6 +161,24 @@ def conditional(view: JointView, given_axes, target_axes, given_values) -> Proba
     return ProbabilityVector(np.asarray(numer).ravel() / total)
 
 
+def split_conditionals(view: JointView, split: QuditSplit) -> tuple[list, list]:
+    """Both block Bayes tables, p(left | right = b) for b = 1..dim_right and
+    p(right | left = a) for a = 1..dim_left: each row is bit for bit what
+    `conditional` gives for that event, or None where the event has zero mass."""
+    if split.factorization != view.factorization:
+        raise UsageError("split does not belong to the view's factorization")
+    table = view.base.probs.reshape(split.dim_right, split.dim_left)
+    # Contiguous rows, so every row total is the same pairwise sum as in `conditional`.
+    return _conditional_rows(table), _conditional_rows(table.T.copy())
+
+
+def _conditional_rows(table: np.ndarray) -> list:
+    totals = table.sum(axis=1)
+    live = totals > 0.0
+    rows = iter(probability_rows(table[live] / totals[live, None]))
+    return [next(rows) if ok else None for ok in live]
+
+
 def shannon_entropy(p: ProbabilityVector) -> float:
     """-sum P ln P in nats, with 0 ln 0 = 0."""
     return _kernels.shannon(p.probs)

@@ -7,6 +7,7 @@ validation); 2 = input or usage error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,11 +20,11 @@ from . import _kernels
 from .classical import (
     JointView,
     TsallisParam,
-    conditional,
     marginal,
+    split_conditionals,
     subadditivity_report,
 )
-from .errors import ConditioningOnNull, QuditCorrError, UsageError
+from .errors import QuditCorrError, UsageError
 from .fuzz import family_table, run_families
 from .io import (
     density_matrix_payload,
@@ -35,9 +36,8 @@ from .partition import Factorization, MultiIndex, QuditSplit, compose, decompose
 from .quantum import (
     DensityMatrix,
     ReshapedState,
+    _linear_entropy,
     chsh_max,
-    linear_entropy,
-    mutual_quantum_information,
     partial_trace_left,
     partial_trace_right,
     separability_test,
@@ -47,8 +47,11 @@ from .quantum import (
 from .reporting import CheckRecord, Report, jsonable
 from .tolerances import (
     CHSH_ATOL,
+    DEMO_CLOSED_FORM_ATOL,
+    DEMO_LINEAR_ENTROPY_ATOL,
     ENTROPY_BOUND_ATOL,
     PRODUCT_MUTUAL_ATOL,
+    PSD_ATOL,
     QUANTUM_MUTUAL_ATOL,
     SUBADDITIVITY_ATOL,
     TOMOGRAM_SUM_ATOL,
@@ -65,7 +68,9 @@ def _dims_arg(text: str) -> tuple[int, ...]:
         ) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="quditcorr",
         description="Correlation diagnostics for single-qudit states via partition maps.",
@@ -110,14 +115,18 @@ def _tsallis_params(values, default=()) -> list[TsallisParam]:
     return [TsallisParam(q) for q in (default if values is None else values)]
 
 
+def _check_total(factorization: Factorization, size: int, found: str) -> None:
+    if factorization.total != size:
+        raise UsageError(
+            f"dimension mismatch: dims {list(factorization.dims)} give total "
+            f"{factorization.total}, {found}"
+        )
+
+
 def _cmd_analyze_prob(args) -> Report:
     factorization = Factorization(args.dims)
     vector = load_probability_vector(args.input)
-    if factorization.total != len(vector):
-        raise UsageError(
-            f"dimension mismatch: dims {list(factorization.dims)} give total "
-            f"{factorization.total}, input has {len(vector)} entries"
-        )
+    _check_total(factorization, len(vector), f"input has {len(vector)} entries")
     view = JointView(vector, factorization)
     split = QuditSplit(factorization, args.split)
     report = subadditivity_report(view, split)
@@ -179,25 +188,10 @@ def _cmd_analyze_prob(args) -> Report:
         results["tsallis"] = suite
 
     if args.conditionals:
-        right_sub = Factorization(factorization.dims[split.s:])
-        left_sub = Factorization(factorization.dims[: split.s])
-        left_given_right = {}
-        for b in range(1, split.dim_right + 1):
-            coords = decompose(b, right_sub).coords
-            try:
-                left_given_right[str(b)] = conditional(view, right_axes, left_axes, coords).probs
-            except ConditioningOnNull:
-                left_given_right[str(b)] = None
-        right_given_left = {}
-        for a in range(1, split.dim_left + 1):
-            coords = decompose(a, left_sub).coords
-            try:
-                right_given_left[str(a)] = conditional(view, left_axes, right_axes, coords).probs
-            except ConditioningOnNull:
-                right_given_left[str(a)] = None
+        left_given_right, right_given_left = split_conditionals(view, split)
         results["conditionals"] = {
-            "left_given_right": left_given_right,
-            "right_given_left": right_given_left,
+            "left_given_right": {str(b): row for b, row in enumerate(left_given_right, 1)},
+            "right_given_left": {str(a): row for a, row in enumerate(right_given_left, 1)},
         }
 
     request = {
@@ -251,7 +245,7 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
     s_joint = von_neumann_entropy(state)
     s_left = von_neumann_entropy(rho_left)
     s_right = von_neumann_entropy(rho_right)
-    mutual = mutual_quantum_information(reshaped, split)
+    mutual = s_left + s_right - s_joint
     verdict = separability_test(reshaped, split)
     chsh = None
     if split.dim_left == 2 and split.dim_right == 2:
@@ -265,7 +259,7 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
         "S_left": s_left,
         "S_right": s_right,
         "mutual_info": mutual,
-        "linear_entropy": linear_entropy(reshaped, split),
+        "linear_entropy": _linear_entropy(rho_right.matrix),
         "separability": {"status": verdict.status, "witness_value": verdict.witness_value},
     }
     if chsh is not None:
@@ -277,11 +271,7 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
 def _load_state(args) -> tuple[Factorization, DensityMatrix]:
     factorization = Factorization(args.dims)
     state = load_density_matrix(args.input)
-    if factorization.total != state.dim:
-        raise UsageError(
-            f"dimension mismatch: dims {list(factorization.dims)} give total "
-            f"{factorization.total}, matrix is {state.dim}x{state.dim}"
-        )
+    _check_total(factorization, state.dim, f"matrix is {state.dim}x{state.dim}")
     return factorization, state
 
 
@@ -427,26 +417,26 @@ def _cmd_demo_four_level(args) -> Report:
         CheckRecord(
             name="mutual_info_equals_2ln2",
             value=results["mutual_info"],
-            holds=bool(abs(results["mutual_info"] - two_ln_two) <= 1e-10),
-            tolerance=1e-10,
+            holds=bool(abs(results["mutual_info"] - two_ln_two) <= DEMO_CLOSED_FORM_ATOL),
+            tolerance=DEMO_CLOSED_FORM_ATOL,
         ),
         CheckRecord(
             name="linear_entropy_equals_half",
             value=results["linear_entropy"],
-            holds=bool(abs(results["linear_entropy"] - 0.5) <= 1e-12),
-            tolerance=1e-12,
+            holds=bool(abs(results["linear_entropy"] - 0.5) <= DEMO_LINEAR_ENTROPY_ATOL),
+            tolerance=DEMO_LINEAR_ENTROPY_ATOL,
         ),
         CheckRecord(
             name="ppt_witness_equals_minus_half",
             value=verdict["witness_value"],
-            holds=bool(abs(verdict["witness_value"] + 0.5) <= 1e-10),
-            tolerance=1e-10,
+            holds=bool(abs(verdict["witness_value"] + 0.5) <= DEMO_CLOSED_FORM_ATOL),
+            tolerance=DEMO_CLOSED_FORM_ATOL,
         ),
         CheckRecord(
             name="state_entangled",
             value=verdict["witness_value"],
             holds=verdict["status"] == "entangled",
-            tolerance=1e-10,
+            tolerance=PSD_ATOL,
         ),
         CheckRecord(
             name="chsh_max_equals_2sqrt2",

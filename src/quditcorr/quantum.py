@@ -142,9 +142,12 @@ def mutual_quantum_information(rs: ReshapedState, split: QuditSplit) -> float:
 
 def linear_entropy(rs: ReshapedState, split: QuditSplit) -> float:
     """1 - Tr(rho_right^2); zero iff the trailing reduction is pure."""
-    reduced = partial_trace_left(rs, split).matrix
-    purity = float(np.einsum("ij,ji->", reduced, reduced).real)
-    return 1.0 - purity
+    return _linear_entropy(partial_trace_left(rs, split).matrix)
+
+
+def _linear_entropy(reduced: np.ndarray) -> float:
+    """1 - Tr(m^2) of a Hermitian matrix."""
+    return 1.0 - float(np.einsum("ij,ji->", reduced, reduced).real)
 
 
 def partial_transpose_right(rs: ReshapedState, split: QuditSplit) -> np.ndarray:

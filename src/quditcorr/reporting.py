@@ -8,6 +8,7 @@ that identical request + seed produces a byte-identical report.
 import json
 import math
 from dataclasses import dataclass, field, is_dataclass, asdict
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -51,6 +52,42 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+def _render(obj, pad: str) -> str:
+    """json.dumps(jsonable(obj), indent=2, sort_keys=True) in one pass over the
+    common types, visiting values in jsonable's order so that bad input fails
+    alike; `pad` is a newline plus the indentation of obj's line."""
+    inner = pad + "  "
+    separator = "," + inner
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        fields = {str(k): _render(v, inner) for k, v in obj.items()}
+        body = separator.join(f"{_quote(k)}: {v}" for k, v in sorted(fields.items()))
+        return "{" + inner + body + pad + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        try:
+            body = separator.join(map(float.__repr__, obj))
+            flat = "n" not in body  # every entry a finite float: no "inf" or "nan"
+        except TypeError:
+            flat = False
+        if not flat:
+            body = separator.join([_render(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist(), pad)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)
+    if obj is None or isinstance(obj, int):  # bools are ints
+        return json.dumps(obj)
+    # Infinities, NaN, complex and numpy scalars, dataclasses, container subclasses.
+    return _render(jsonable(obj), pad)
+
+
 @dataclass
 class Report:
     request: dict
@@ -62,14 +99,12 @@ class Report:
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "tool": {"name": "quditcorr", "version": __version__},
-            "request": jsonable(self.request),
-            "seed": self.seed,
-            "results": jsonable(self.results),
-            "checks": [jsonable(c) for c in self.checks],
-        }
-
     def render(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        payload = {
+            "tool": {"name": "quditcorr", "version": __version__},
+            "request": self.request,
+            "seed": self.seed,
+            "results": self.results,
+            "checks": self.checks,
+        }
+        return _render(payload, "\n") + "\n"

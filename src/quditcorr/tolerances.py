@@ -22,6 +22,8 @@ QUANTUM_MUTUAL_ATOL = 1e-9       # quantum mutual information floor
 PRODUCT_MUTUAL_ATOL = 1e-9       # |I| for explicitly product inputs
 ENTROPY_BOUND_ATOL = 1e-10       # 0 <= S <= ln N slack
 CHSH_ATOL = 1e-9                 # CHSH maximum against closed-form targets
+DEMO_CLOSED_FORM_ATOL = 1e-10    # demo mutual information and PPT witness against 2 ln 2, -1/2
+DEMO_LINEAR_ENTROPY_ATOL = 1e-12  # demo linear entropy against 1/2
 
 # Tomograms.
 TOMOGRAM_SUM_ATOL = 1e-10        # normalization check before renormalizing

@@ -20,6 +20,7 @@ from quditcorr import (
     relative_entropy_shannon,
     relative_entropy_tsallis,
     shannon_entropy,
+    split_conditionals,
     subadditivity_report,
     tsallis_entropy,
 )
@@ -129,6 +130,54 @@ class TestConditional:
         a = conditional(view, (3, 1), (2,), (2, 1)).probs
         b = conditional(view, (1, 3), (2,), (1, 2)).probs
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+
+def _conditional_table(view, given, target, given_dims):
+    """One scalar `conditional` per composite value of the given block; None on a null event."""
+    block = Factorization(given_dims)
+    rows = []
+    for k in range(1, block.total + 1):
+        try:
+            rows.append(conditional(view, given, target, decompose(k, block).coords).probs)
+        except ConditioningOnNull:
+            rows.append(None)
+    return rows
+
+
+class TestSplitConditionals:
+    @pytest.mark.parametrize("dims", [(2, 3), (4, 4), (5, 2), (8, 32), (2, 2, 2), (2, 3, 4), (4, 3, 2)])
+    @pytest.mark.parametrize("null_events", [False, True])
+    def test_rows_equal_scalar_conditional(self, dims, null_events):
+        rng = np.random.default_rng(sum(dims))
+        probs = rng.dirichlet(np.ones(math.prod(dims)))
+        if null_events:
+            # x_M = 1 and x_1 = 2 carry no mass, so every split has a null event
+            # on each side (x_1 is the fastest axis, x_M the slowest).
+            tensor = probs.reshape(dims[::-1])
+            tensor[0] = 0.0
+            tensor[..., 1] = 0.0
+            probs[rng.random(probs.size) < 0.2] = 0.0
+            probs /= probs.sum()
+        view = view_of(probs, dims)
+        m = len(dims)
+        for s in range(1, m):
+            left, right = range(1, s + 1), range(s + 1, m + 1)
+            got = split_conditionals(view, QuditSplit(view.factorization, s))
+            want = (
+                _conditional_table(view, right, left, dims[s:]),
+                _conditional_table(view, left, right, dims[:s]),
+            )
+            for got_rows, want_rows in zip(got, want):
+                assert len(got_rows) == len(want_rows)
+                assert [None if r is None else r.tolist() for r in got_rows] == [
+                    None if r is None else r.tolist() for r in want_rows
+                ]
+                assert any(r is None for r in want_rows) == null_events
+
+    def test_foreign_split_rejected(self):
+        view = view_of([0.25] * 4, (2, 2))
+        with pytest.raises(UsageError, match="factorization"):
+            split_conditionals(view, QuditSplit(Factorization((4, 1)), 1))
 
 
 class TestShannon:

@@ -105,6 +105,28 @@ class TestAnalyzeProb:
         conditionals = report["results"]["conditionals"]
         assert conditionals["left_given_right"]["1"] == [1.0, 0.0]
 
+    def test_parser_reuse_keeps_no_arguments(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("0.25\n0.25\n0.25\n0.25\n")
+        argv = ["analyze-prob", "--input", str(path), "--dims", "2,2"]
+        run_cli(capsys, *argv, "--q", "2", "--conditionals")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        request = json.loads(out)["request"]
+        assert request["q"] == [] and request["conditionals"] is False
+
+    def test_null_conditioning_event_renders_null(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("0.5\n0.5\n0\n0\n")
+        code, out, _ = run_cli(
+            capsys, "analyze-prob", "--input", str(path), "--dims", "2,2", "--conditionals"
+        )
+        assert code == 0
+        assert '"2": null' in out
+        conditionals = json.loads(out)["results"]["conditionals"]
+        assert conditionals["left_given_right"] == {"1": [0.5, 0.5], "2": None}
+        assert conditionals["right_given_left"] == {"1": [1.0, 0.0], "2": [1.0, 0.0]}
+
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         path.write_text("".join(f"{1/6}\n" for _ in range(6)))
@@ -256,7 +278,8 @@ def _nan_diagonal_4x4():
 
 
 _BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
-# (name, subcommand, state file, grid file or None, dims, exit code, message fragment)
+# (name, subcommand and extra flags, input (a str is written as CSV, anything else as
+# JSON), grid file or None, dims, exit code, message fragment)
 _MALFORMED = [
     ("all_nan_2x2", "analyze-dm", {"dim": 2, "re": [[math.nan] * 2] * 2}, None, "2,1", 2,
      "rho^dagger"),
@@ -265,6 +288,11 @@ _MALFORMED = [
     ("string_matrix", "analyze-dm", {"re": "x"}, None, "2,1", 2, "must be numeric"),
     ("string_angle", "tomogram-sweep", _BELL, [{"theta": "x", "phi": 0.1}], "2,2", 2,
      "entry 0 has a non-numeric angle"),
+    ("inf_csv_row", "analyze-prob", "inf\n0\n0\n0\n", None, "2,2", 2, "sum to inf"),
+    ("nan_csv_row", "analyze-prob", "nan\n0.5\n0.25\n0.25\n", None, "2,2", 2, "contains NaN"),
+    ("negative_infinity_json", "analyze-prob", [-math.inf, 1, 0, 0], None, "2,2", 2,
+     "negative probability"),
+    ("nan_q", "analyze-prob --q nan", [0.25] * 4, None, "2,2", 2, "Tsallis q = nan"),
 ]
 
 
@@ -274,9 +302,13 @@ _MALFORMED = [
     ids=[row[0] for row in _MALFORMED],
 )
 def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims, code, fragment):
-    state_path = tmp_path / "rho.json"
-    state_path.write_text(json.dumps(state))  # json writes NaN as the bare literal
-    argv = [subcommand, "--input", str(state_path), "--dims", dims]
+    if isinstance(state, str):
+        state_path = tmp_path / "p.csv"
+        state_path.write_text(state)
+    else:
+        state_path = tmp_path / "input.json"
+        state_path.write_text(json.dumps(state))  # json writes NaN and -Infinity bare
+    argv = [*subcommand.split(), "--input", str(state_path), "--dims", dims]
     if grid is not None:
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))

@@ -1,0 +1,112 @@
+import json
+import math
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from quditcorr._version import __version__
+from quditcorr.reporting import CheckRecord, Report, jsonable
+
+# allow_nan=False still draws +-inf, -0.0 and subnormals.
+finite_or_inf = st.floats(allow_nan=False)
+keys = st.one_of(st.text(), st.integers())
+float_rows = st.lists(finite_or_inf, max_size=6)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    finite_or_inf,
+    st.text(),  # includes non-ASCII code points
+    st.complex_numbers(allow_nan=False),
+    finite_or_inf.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    float_rows,
+    arrays(np.float64, st.integers(0, 6), elements=finite_or_inf),
+    arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3)), elements=finite_or_inf),
+)
+values = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(keys, children, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=25,
+)
+checks = st.lists(
+    st.builds(CheckRecord, name=st.text(), value=finite_or_inf, holds=st.booleans(),
+              tolerance=finite_or_inf),
+    max_size=3,
+)
+
+
+def _report(results, checks=()) -> Report:
+    return Report(request={"subcommand": "test"}, seed=None, results=results, checks=list(checks))
+
+
+def _reference(report: Report) -> str:
+    payload = {
+        "tool": {"name": "quditcorr", "version": __version__},
+        "request": report.request,
+        "seed": report.seed,
+        "results": report.results,
+        "checks": report.checks,
+    }
+    return json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(values, checks)
+def test_render_matches_json_dumps_of_jsonable(results, records):
+    report = _report({"value": results}, records)
+    assert report.render() == _reference(report)
+
+
+_NAN_LEAVES = st.sampled_from([
+    math.nan,
+    np.float64("nan"),
+    complex(0.5, math.nan),
+    [0.25, math.nan],
+    np.array([0.5, math.nan]),
+    np.array([[1.0, 0.0], [math.nan, 0.0]]),
+])
+
+
+def _around(poisoned):
+    """A list or dict holding a poisoned value among clean ones."""
+    return st.one_of(
+        st.tuples(st.lists(values, max_size=2), poisoned, st.lists(values, max_size=2)).map(
+            lambda t: [*t[0], t[1], *t[2]]
+        ),
+        st.tuples(st.dictionaries(keys, values, max_size=2), keys, poisoned).map(
+            lambda t: {**t[0], t[1]: t[2]}
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_NAN_LEAVES, _around, max_leaves=4))
+def test_nan_anywhere_raises_like_jsonable(poisoned):
+    report = _report({"value": poisoned})
+    with pytest.raises(ValueError, match="refusing to serialize NaN") as rendered:
+        report.render()
+    with pytest.raises(ValueError) as reference:
+        _reference(report)
+    assert str(rendered.value) == str(reference.value)
+
+
+def test_layout():
+    text = _report({"b": [1.5, -math.inf], "a": {2: "é", "10": []}, "c": 1j}).render()
+    assert json.loads(text)["results"] == {
+        "a": {"10": [], "2": "é"},
+        "b": [1.5, "-inf"],
+        "c": {"im": 1.0, "re": 0.0},
+    }
+    assert '\n    "b": [\n      1.5,\n      "-inf"\n    ],' in text
+    assert '"2": "\\u00e9"' in text
