@@ -5,7 +5,7 @@ Entropies are in nats throughout.  A diverging relative entropy is reported
 as math.inf, never NaN.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,6 +211,9 @@ class SubadditivityReport:
     s_joint: float
     mutual_info: float
     holds: bool
+    # The block marginals the entropies were taken from.
+    left: ProbabilityVector = field(repr=False, compare=False)
+    right: ProbabilityVector = field(repr=False, compare=False)
 
 
 def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityReport:
@@ -235,7 +238,16 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
         s_joint=s_joint,
         mutual_info=mutual,
         holds=bool(mutual >= -SUBADDITIVITY_ATOL),
+        left=left,
+        right=right,
     )
+
+
+def tsallis_margin(s_q1, s_q2, s_q):
+    """The Tsallis subadditivity margin S_q1 + S_q2 - S_q of two marginals and their
+    joint, and whether it holds within SUBADDITIVITY_ATOL; floats or arrays."""
+    margin = s_q1 + s_q2 - s_q
+    return margin, margin >= -SUBADDITIVITY_ATOL
 
 
 @dataclass(frozen=True)

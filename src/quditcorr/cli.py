@@ -23,6 +23,7 @@ from .classical import (
     marginal,
     split_conditionals,
     subadditivity_report,
+    tsallis_margin,
 )
 from .errors import QuditCorrError, UsageError
 from .fuzz import family_table, run_families
@@ -44,7 +45,7 @@ from .quantum import (
     validate,
     von_neumann_entropy,
 )
-from .reporting import CheckRecord, Report, jsonable
+from .reporting import CheckRecord, Report, json_line
 from .tolerances import (
     CHSH_ATOL,
     DEMO_CLOSED_FORM_ATOL,
@@ -133,10 +134,7 @@ def _cmd_analyze_prob(args) -> Report:
     qs = _tsallis_params(args.q)
 
     num_axes = factorization.num_axes
-    left_axes = range(1, split.s + 1)
-    right_axes = range(split.s + 1, num_axes + 1)
-    left = marginal(view, left_axes)
-    right = marginal(view, right_axes)
+    left, right = report.left, report.right
 
     results = {
         "units": "nats",
@@ -166,8 +164,7 @@ def _cmd_analyze_prob(args) -> Report:
             s_q_left = _kernels.tsallis(left.probs, tq.q)
             s_q_right = _kernels.tsallis(right.probs, tq.q)
             s_q_joint = _kernels.tsallis(vector.probs, tq.q)
-            margin = s_q_left + s_q_right - s_q_joint
-            holds = bool(margin >= -SUBADDITIVITY_ATOL)
+            margin, holds = tsallis_margin(s_q_left, s_q_right, s_q_joint)
             suite[f"{tq.q:g}"] = {
                 "S_q_left": s_q_left,
                 "S_q_right": s_q_right,
@@ -311,14 +308,12 @@ def _cmd_tomogram_sweep(args) -> Report:
                 **_angles(r.direction),
                 "values": r.values,
                 "information": r.information,
-                "tsallis": {f"{q:g}": rep_q for q, rep_q in r.tsallis.items()},
+                "tsallis": {f"{q:g}": vars(rep_q) for q, rep_q in r.tsallis.items()},
                 "normalization_error": r.normalization_error,
             }
             for r in records
         )
-        Path(args.out).write_text(
-            "".join(json.dumps(jsonable(p), sort_keys=True) + "\n" for p in payloads)
-        )
+        Path(args.out).write_text("".join(json_line(p) + "\n" for p in payloads))
 
     argmin = min(range(len(records)), key=lambda k: records[k].information)
     min_information = records[argmin].information
@@ -340,15 +335,15 @@ def _cmd_tomogram_sweep(args) -> Report:
     for tq in qs:
         if tq.q <= 1.0:
             continue
-        margin = min(
-            r.tsallis[tq.q].s_q1 + r.tsallis[tq.q].s_q2 - r.tsallis[tq.q].s_q
-            for r in records
+        # (margin, holds) pairs order by margin, so the least carries its own verdict.
+        margin, holds = min(
+            tsallis_margin(t.s_q1, t.s_q2, t.s_q) for t in (r.tsallis[tq.q] for r in records)
         )
         checks.append(
             CheckRecord(
                 name=f"tomographic_tsallis_min_margin_q={tq.q:g}",
                 value=margin,
-                holds=bool(margin >= -SUBADDITIVITY_ATOL),
+                holds=holds,
                 tolerance=SUBADDITIVITY_ATOL,
             )
         )

@@ -19,7 +19,8 @@ from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions
 from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, random_directions
 from .sampling import random_factorizations
 from .tolerances import QUANTUM_MUTUAL_ATOL, SUBADDITIVITY_ATOL
-from .tomography import marginal_pair, rotations, spin_rep, split_information, tomogram_values
+from .tomography import marginal_pair, spin_rep, split_information, tomogram_diagonals
+from .tomography import tomogram_values
 
 BLOCK = 256  # samples per stack; 1000-sample stacks raise peak RSS by about 2.5 MB
 _TWO_QUBITS = Factorization((2, 2))  # the tomographic family's spin 3/2
@@ -116,7 +117,7 @@ def draw_tomographic(rng, size):
 
 def tomographic_margin(block):
     states, theta, phi = block
-    values, _ = tomogram_values(rotations(spin_rep(1.5), theta, phi), states)
+    values, _ = tomogram_values(tomogram_diagonals(spin_rep(1.5), theta, phi, states), states)
     return split_information(*marginal_pair(values, _TWO_QUBITS), values)
 
 

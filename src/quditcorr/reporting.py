@@ -52,6 +52,16 @@ def jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+def json_line(obj) -> str:
+    """json.dumps(jsonable(obj), sort_keys=True) for str-keyed obj: through the C encoder
+    when obj holds only JSON types and finite floats, and through jsonable when that
+    raises, so that infinities and the NaN refusal keep jsonable's rules."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError):
+        return json.dumps(jsonable(obj), sort_keys=True)
+
+
 def _render(obj, pad: str) -> str:
     """json.dumps(jsonable(obj), indent=2, sort_keys=True) in one pass over the
     common types, visiting values in jsonable's order so that bad input fails

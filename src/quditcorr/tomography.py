@@ -1,7 +1,11 @@
 """Spin tomograms and their partition-map correlation diagnostics.
 
 A tomogram w(m | n) is the diagonal of u rho u^dagger, where u is the SU(2)
-rotation carrying the measurement direction n.  Tables are reported in the
+rotation carrying the measurement direction n.  Only the Wigner factor
+d = exp(i theta Jy) and the phase P = exp(i phi Jz) of u reach the diagonal,
+and d is real orthogonal (i Jy is real antisymmetric), so the diagonal is
+rowsum((d Re(P rho P^dagger)) * d): two real matrix products per direction.
+Tables are reported in the
 flat-index order m = -j -> 1, ..., m = j -> 2j+1, which reverses the
 storage basis (|m> kept with m descending); relabelled this way, a tomogram
 is a one-variable distribution that the partition machinery can analyze.
@@ -14,14 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .classical import ProbabilityVector, TsallisParam
+from .classical import ProbabilityVector, TsallisParam, tsallis_margin
 from .errors import DomainError, UsageError
 from .partition import Factorization
 from .quantum import DensityMatrix
 from .tolerances import (
     PSD_ATOL,
     SPIN_J_ATOL,
-    SUBADDITIVITY_ATOL,
     TOMOGRAM_NEG_CLAMP,
     TOMOGRAM_SUM_ATOL,
 )
@@ -57,9 +60,10 @@ def check_angles(theta, phi, psi):
 
 class SpinRep:
     """Spin-j operator triple in the |m> basis ordered m = j, j-1, ..., -j.  A shared rep
-    stays small: it keeps the ladder and the Jy eigen-pairs and builds jz, jx, jy on access."""
+    stays small: it keeps the ladder and the real factors of exp(i theta Jy) and builds
+    jz, jx, jy on access."""
 
-    __slots__ = ("j", "dim", "m_values", "_ladder", "_jy_spectrum")
+    __slots__ = ("j", "dim", "m_values", "_ladder", "_factors")
 
     def __init__(self, j):
         twice = float(j) * 2.0
@@ -71,10 +75,22 @@ class SpinRep:
         self.m_values = self.j - np.arange(self.dim, dtype=float)
         m = self.m_values[1:]
         self._ladder = np.sqrt(self.j * (self.j + 1.0) - m * (m + 1.0))  # <m+1|J+|m>
-        # Jy is Hermitian; its eigen-pairs give exp(i theta Jy) directly.
-        w, v = np.linalg.eigh(self.jy)
-        self._jy_spectrum = (w, v, v.conj().T)
-        for arr in (self.m_values, self._ladder, *self._jy_spectrum):
+        # Jy is imaginary, so conj(v) is the eigenvector of -w for the one of w > 0, and
+        # a = sqrt2 Re v, b = sqrt2 Im v are orthonormal and real: exp(i theta Jy) turns
+        # each pair (a, b) by theta w and keeps the real m = 0 vector of an integer j.
+        w, v = np.linalg.eigh(self.jy)  # ascending, so the last dim // 2 have w > 0
+        pairs = self.dim // 2
+        up = v[:, self.dim - pairs:] * math.sqrt(2.0)
+        q, turn, omega = [up.real, up.imag], [-up.imag, up.real], [w[self.dim - pairs:]] * 2
+        if self.dim % 2:  # the m = 0 vector is real up to one phase
+            zero = v[:, pairs:pairs + 1]
+            peak = zero[np.abs(zero).argmax(), 0]
+            q.append((zero * (abs(peak) / peak)).real)
+            turn.append(np.zeros((self.dim, 1)))
+            omega.append(np.zeros(1))
+        # exp(i theta Jy) = q B(theta) q^T with q B = q cos(theta omega) + turn sin(theta omega).
+        self._factors = (np.hstack(q), np.hstack(turn), np.concatenate(omega))
+        for arr in (self.m_values, self._ladder, *self._factors):
             arr.flags.writeable = False
 
     @property
@@ -99,6 +115,13 @@ def spin_rep(j) -> SpinRep:
     return SpinRep(j)
 
 
+def wigner_d(rep: SpinRep, theta) -> np.ndarray:
+    """exp(i theta Jy), a real orthogonal matrix; an array of theta gives a (..., N, N) stack."""
+    q, turn, omega = rep._factors
+    angles = np.multiply.outer(theta, omega)[..., None, :]
+    return (q * np.cos(angles) + turn * np.sin(angles)) @ q.T
+
+
 def rotation_matrix(rep: SpinRep, direction: Direction) -> np.ndarray:
     """SU(2) rotation u(phi, theta, psi) = e^{i psi Jz} e^{i theta Jy} e^{i phi Jz}.
 
@@ -108,16 +131,10 @@ def rotation_matrix(rep: SpinRep, direction: Direction) -> np.ndarray:
     The psi factor sits outermost, which is what makes tomograms
     psi-independent.
     """
-    return rotations(rep, direction.theta, direction.phi, direction.psi or None)
-
-
-def rotations(rep: SpinRep, theta, phi, psi=None) -> np.ndarray:
-    """`rotation_matrix` from angles, or a (..., N, N) stack from angle arrays."""
-    w, v, v_dagger = rep._jy_spectrum
-    u = (v * np.exp(1.0j * np.multiply.outer(theta, w))[..., None, :]) @ v_dagger
-    if psi is not None:  # e^{i 0 Jz} is exactly the identity
-        u = np.exp(1.0j * np.multiply.outer(psi, rep.m_values))[..., :, None] * u
-    return u * np.exp(1.0j * np.multiply.outer(phi, rep.m_values))[..., None, :]
+    u = wigner_d(rep, direction.theta) * np.exp(1.0j * direction.phi * rep.m_values)
+    if direction.psi:  # e^{i 0 Jz} is exactly the identity
+        u *= np.exp(1.0j * direction.psi * rep.m_values)[:, None]
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,24 +152,44 @@ def tomogram(state: DensityMatrix, rep: SpinRep, direction: Direction) -> Tomogr
 
     `state` is given in the same |m>-descending basis as `rep`.
     """
-    if state.dim != rep.dim:
-        raise UsageError(f"state dimension {state.dim} does not match spin dimension {rep.dim}")
-    values, error = tomogram_values(rotation_matrix(rep, direction), state.matrix)
+    _check_inputs(state, rep, (direction,))
+    diagonals = tomogram_diagonals(rep, direction.theta, direction.phi, state.matrix)
+    values, error = tomogram_values(diagonals, state.matrix)
     values.flags.writeable = False
     return TomogramTable(direction=direction, values=values, normalization_error=float(error))
 
 
-def tomogram_values(u: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked, renormalized diag(u rho u^dagger) = rowsum((u rho) * conj(u))
-    in flat-index order, and |raw sum - 1|; u (consumed) and rho may be stacks."""
-    rotated = u @ rho
-    rotated *= np.conj(u, out=u)
-    diag = rotated.sum(axis=-1)
+def _check_inputs(state: DensityMatrix, rep: SpinRep, directions) -> None:
+    if state.dim != rep.dim:
+        raise UsageError(f"state dimension {state.dim} does not match spin dimension {rep.dim}")
+    if not all(abs(d.psi) < math.inf for d in directions):  # psi drops out of every value
+        raise DomainError("tomogram direction has a non-finite psi")
+
+
+def tomogram_diagonals(rep: SpinRep, theta, phi, rho: np.ndarray) -> np.ndarray:
+    """Raw diag(d rho' d^T) = rowsum((d Re rho') * d), rho' = P rho P^dagger with
+    P = exp(i phi Jz), in storage order (m descending); angle arrays take a stack of rho."""
+    d = wigner_d(rep, theta)
+    phase = np.exp(1.0j * np.multiply.outer(phi, rep.m_values))
+    rotated = d @ (rho * (phase[..., :, None] * np.conj(phase[..., None, :]))).real.copy()
+    rotated *= d
+    return rotated.sum(axis=-1)
+
+
+def tomogram_values(diagonals: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, renormalized tables in flat-index order from the raw (..., N) diagonals
+    of rho, one (N, N) matrix or a stack of them, and |raw sum - 1| per table.
+
+    The real kernel never forms Im w(m | n).  ||rho - rho^dagger||_F / 2 bounds it at
+    every direction, since the rows of d are unit vectors and P keeps the moduli of
+    rho's entries, so that norm is checked once per matrix, against TOMOGRAM_SUM_ATOL.
+    """
     # Every check below also fails on NaN.
-    imag_gap = float(np.abs(diag.imag).max())
-    if not imag_gap <= TOMOGRAM_SUM_ATOL:
-        raise DomainError(f"tomogram diagonal has imaginary part {imag_gap:.3e}")
-    values = diag.real[..., ::-1].copy()  # storage is m descending; tables are y-ordered
+    skew = np.linalg.norm(rho - np.conj(np.swapaxes(rho, -1, -2)), axis=(-2, -1)) / 2.0
+    if not float(skew.max()) <= TOMOGRAM_SUM_ATOL:
+        raise DomainError(f"tomogram input has anti-Hermitian part {skew.max():.3e}, "
+                          f"above {TOMOGRAM_SUM_ATOL:.0e}")
+    values = diagonals[..., ::-1].copy()  # storage is m descending; tables are y-ordered
     low = float(values.min())
     if not low >= -TOMOGRAM_NEG_CLAMP:
         raise DomainError(f"tomogram value {low:.3e} below the clamp window")
@@ -207,10 +244,8 @@ def split_information(first, second, values):
 def _tsallis_reports(first, second, values, q: float) -> list[TsallisTomogramReport]:
     """One report per row of (..., N) marginals and tables."""
     entropies = np.array([_kernels.tsallis(p, q) for p in (first, second, values)]).reshape(3, -1)
-    return [
-        TsallisTomogramReport(s_q1, s_q2, s_q, bool(s_q1 + s_q2 - s_q >= -SUBADDITIVITY_ATOL))
-        for s_q1, s_q2, s_q in entropies.T.tolist()
-    ]
+    _, holds = tsallis_margin(*entropies)
+    return [TsallisTomogramReport(*row) for row in zip(*entropies.tolist(), holds.tolist())]
 
 
 def tomographic_tsallis_report(
@@ -263,24 +298,28 @@ def direction_sweep(
 ) -> list[SweepRecord]:
     """Evaluate the tomographic diagnostics over a direction grid.
 
-    One record per direction, in grid order.  Tomograms are taken one
-    direction at a time; marginals and entropies once, over their stack.
+    One record per direction, in grid order.  The state is checked once, the
+    kernel runs one direction at a time, and the table checks, marginals and
+    entropies run once, over the stack.
     """
     directions = list(grid)
     if not directions:
         raise UsageError("direction grid is empty")
-    tables = [tomogram(state, rep, direction) for direction in directions]
-    values = np.stack([table.values for table in tables])
+    _check_inputs(state, rep, directions)
+    rho = state.matrix
+    diagonals = np.array([tomogram_diagonals(rep, d.theta, d.phi, rho) for d in directions])
+    values, errors = tomogram_values(diagonals, rho)
     first, second = marginal_pair(values, factorization)
     information = split_information(first, second, values).tolist()
     tsallis = {tq.q: _tsallis_reports(first, second, values, tq.q) for tq in qs}
+    rows = zip(directions, values.tolist(), errors.tolist())
     return [
         SweepRecord(
-            direction=table.direction,
+            direction=direction,
             values=tuple(row),
             information=information[k],
             tsallis={q: reports[k] for q, reports in tsallis.items()},
-            normalization_error=table.normalization_error,
+            normalization_error=error,
         )
-        for k, (table, row) in enumerate(zip(tables, values.tolist()))
+        for k, (direction, row, error) in enumerate(rows)
     ]

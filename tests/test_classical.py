@@ -293,6 +293,8 @@ class TestSubadditivity:
         )
         assert abs(expected - 0.004021743230482322) < 1e-15
         assert abs(report.mutual_info - expected) < 1e-12
+        np.testing.assert_allclose(report.left.probs, [0.4, 0.6], atol=1e-15)
+        np.testing.assert_allclose(report.right.probs, [0.3, 0.7], atol=1e-15)
 
     def test_random_sweep_nonnegative(self):
         rng = np.random.default_rng(5)

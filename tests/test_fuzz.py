@@ -2,6 +2,7 @@
 and the stacked checks against the scalar constructors, row by row."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,10 +42,11 @@ from quditcorr.fuzz import (
     family_table,
     product_mutual_abs,
     run_families,
+    tomographic_margin,
 )
 from quditcorr.qubit_qutrit import bloch_probabilities
 from quditcorr.quantum import validate_stack
-from quditcorr.tomography import check_angles, rotation_matrix, rotations, tomogram_values
+from quditcorr.tomography import check_angles
 
 QS = [TsallisParam(q) for q in (0.5, 1.5, 2.0, 3.0)]
 COUNT = BLOCK + 44  # one full block and one partial block
@@ -225,12 +227,18 @@ def test_bad_direction_row_raises_like_direction(angle, bad):
     _raises_like(lambda: Direction(**single), lambda: check_angles(**angles))
 
 
-@pytest.mark.parametrize("bad", [np.diag([1.2, -0.2, 0.0, 0.0]), np.full((4, 4), np.nan)])
+# A negative value, NaN, and an anti-Hermitian part whose norm ||rho - rho^dagger||_F / 2
+# is sqrt(6) 1e-10, above the TOMOGRAM_SUM_ATOL bound.
+@pytest.mark.parametrize("bad", [
+    np.diag([1.2, -0.2, 0.0, 0.0]),
+    np.full((4, 4), np.nan),
+    np.eye(4) / 4 + 1e-10 * (np.eye(4, k=1) - np.eye(4, k=-1)),
+])
 def test_bad_tomogram_row_raises_like_single_tomogram(bad):
-    rep = spin_rep(1.5)
     states = _with_row([random_density(np.random.default_rng(k), 4) for k in range(5)], bad)
     theta, phi = np.linspace(0.0, 1.0, 5), np.linspace(0.5, 2.0, 5)
+    single = SimpleNamespace(dim=4, matrix=bad)
     _raises_like(
-        lambda: tomogram_values(rotation_matrix(rep, Direction(theta[2], phi[2])), bad),
-        lambda: tomogram_values(rotations(rep, theta, phi), states),
+        lambda: tomogram(single, spin_rep(1.5), Direction(theta[2], phi[2])),
+        lambda: tomographic_margin((states, theta, phi)),
     )

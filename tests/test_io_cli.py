@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from quditcorr import UsageError, validate
+from helpers import random_density
+from quditcorr import (
+    Direction,
+    Factorization,
+    TsallisParam,
+    UsageError,
+    direction_sweep,
+    spin_rep,
+    validate,
+)
 from quditcorr.cli import main
 from quditcorr.io import (
     load_density_matrix,
@@ -12,6 +21,7 @@ from quditcorr.io import (
     load_probability_vector,
     write_density_matrix,
 )
+from quditcorr.reporting import json_line, jsonable
 
 LN2 = math.log(2.0)
 
@@ -262,6 +272,54 @@ class TestTomogramSweep:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and angle in err
+
+    def test_records_and_tsallis_check_match_the_sweep(self, tmp_path, capsys):
+        # Each line is what json.dumps(jsonable(record), sort_keys=True) writes, and the
+        # q = 2 check holds the least S_q1 + S_q2 - S_q over the records.
+        state = validate(random_density(np.random.default_rng(41), 6))
+        rho_path = tmp_path / "rho.json"
+        write_density_matrix(state, rho_path)
+        grid = [Direction(0.3, 0.4), Direction(1.2, 5.0, 0.7), Direction(math.pi, 0.0)]
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps([vars(d) for d in grid]))
+        records_path = tmp_path / "records.jsonl"
+        code, out, _ = run_cli(
+            capsys, "tomogram-sweep", "--input", str(rho_path), "--dims", "3,2",
+            "--grid", str(grid_path), "--q", "2", "--q", "0.5", "--out", str(records_path),
+        )
+        assert code == 0
+        qs = (TsallisParam(2.0), TsallisParam(0.5))
+        records = direction_sweep(state, spin_rep(2.5), Factorization((3, 2)), grid, qs)
+        check = json.loads(out)["checks"][2]
+        assert check["name"] == "tomographic_tsallis_min_margin_q=2"
+        margins = [r.tsallis[2.0].s_q1 + r.tsallis[2.0].s_q2 - r.tsallis[2.0].s_q for r in records]
+        assert check["value"] == min(margins)
+        expected = [
+            json.dumps(jsonable({
+                "theta": r.direction.theta, "phi": r.direction.phi, "psi": r.direction.psi,
+                "values": r.values, "information": r.information,
+                "tsallis": {f"{q:g}": report for q, report in r.tsallis.items()},
+                "normalization_error": r.normalization_error,
+            }), sort_keys=True)
+            for r in records
+        ]
+        assert records_path.read_text().splitlines() == expected
+
+    def test_json_line_infinities_and_nan(self):
+        record = {
+            "information": math.inf,
+            "values": (0.25, 0.75),
+            "tsallis": {"2": {"s_q": 0.5, "s_q1": -math.inf, "subadditivity_holds": True}},
+        }
+        line = json_line(record)
+        assert line == json.dumps(jsonable(record), sort_keys=True)
+        assert '"information": "inf"' in line and '"s_q1": "-inf"' in line
+        record["values"] = (0.25, math.nan)
+        with pytest.raises(ValueError) as expected:
+            json.dumps(jsonable(record), sort_keys=True)
+        with pytest.raises(ValueError) as got:
+            json_line(record)
+        assert str(got.value) == str(expected.value)
 
     def test_default_grid(self, tmp_path, capsys):
         rho_path = tmp_path / "rho.json"

@@ -24,6 +24,7 @@ from quditcorr import (
     tomographic_tsallis_report,
     validate,
 )
+from quditcorr.tomography import tomogram_diagonals, tomogram_values, wigner_d
 
 LN2 = math.log(2.0)
 
@@ -94,6 +95,19 @@ class TestSpinRep:
         for j in (0.0, 0.3, -0.5, math.nan, math.inf):
             with pytest.raises(DomainError):
                 SpinRep(j)
+
+    @pytest.mark.parametrize("j", [1.0, 1.5, 32.0])
+    def test_factors_ignore_eigenvector_phases(self, j, monkeypatch):
+        # eigh may return each Jy eigenvector times any phase, the m = 0 one included.
+        eigh = np.linalg.eigh
+        angles = np.random.default_rng(int(2 * j)).uniform(0.0, 2.0 * math.pi, int(2 * j) + 1)
+        phases = np.exp(1j * angles)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], eigh(m)[1] * phases))
+        phased = SpinRep(j)
+        monkeypatch.undo()
+        for theta in (0.4, 2.9):
+            gap = np.abs(wigner_d(phased, theta) - wigner_d(SpinRep(j), theta)).max()
+            assert gap <= 1e-13
 
     def test_shared_rep_built_once_per_j(self):
         assert spin_rep(2.5) is spin_rep(2.5)
@@ -197,6 +211,22 @@ class TestTomogram:
         state = SimpleNamespace(dim=4, matrix=np.full((4, 4), math.nan, dtype=complex))
         with pytest.raises(DomainError, match="tomogram"):
             tomogram(state, SpinRep(1.5), Direction(0.3, 0.4))
+
+    def test_anti_hermitian_bound(self):
+        # eps (i E_00 + E_03 - E_30) is anti-Hermitian with ||.||_F = sqrt(3) eps; the
+        # bound on ||rho - rho^dagger||_F / 2 is TOMOGRAM_SUM_ATOL = 1e-10.
+        rep, f, direction = SpinRep(1.5), Factorization((2, 2)), Direction(0.7, 1.1)
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 0], skew[0, 3], skew[3, 0] = 1j, 1.0, -1.0
+        hermitian = random_density(np.random.default_rng(37), 4)
+        expected = tomogram(validate(hermitian), rep, direction).values
+        below = SimpleNamespace(dim=4, matrix=hermitian + 0.57e-10 * skew)
+        assert np.abs(tomogram(below, rep, direction).values - expected).max() <= 1e-12
+        above = SimpleNamespace(dim=4, matrix=hermitian + 0.58e-10 * skew)
+        with pytest.raises(DomainError, match="anti-Hermitian part 1.005e-10"):
+            tomogram(above, rep, direction)
+        with pytest.raises(DomainError, match="anti-Hermitian part 1.005e-10"):
+            direction_sweep(above, rep, f, [direction])
 
     def test_matches_qubit_probabilities(self):
         # The x/y/z tomograms of a qubit reproduce (p1, p2, p3).
@@ -387,18 +417,23 @@ class TestLargeSpinOracle:
     DIRECTIONS = [Direction(0.0, 0.0), Direction(0.7, 1.3), Direction(2.2, 4.9, 0.8),
                   Direction(math.pi, 5.5)]
 
-    @pytest.mark.parametrize("j, dims", [(31.5, (8, 8)), (127.5, (16, 16))])
+    # j = 32 is an integer spin: its kernel carries the real m = 0 column.
+    @pytest.mark.parametrize("j, dims", [(31.5, (8, 8)), (127.5, (16, 16)), (32.0, (5, 13))])
     def test_tomogram_and_sweep(self, j, dims):
         rng = np.random.default_rng(int(2 * j))
         rep = SpinRep(j)
         state = validate(random_density(rng, rep.dim))
         f = Factorization(dims)
         records = direction_sweep(state, rep, f, self.DIRECTIONS, (TsallisParam(2.0),))
-        for direction, record in zip(self.DIRECTIONS, records):
+        theta, phi = (np.array([getattr(d, a) for d in self.DIRECTIONS]) for a in ("theta", "phi"))
+        states = np.array([state.matrix] * len(self.DIRECTIONS))
+        stacked, _ = tomogram_values(tomogram_diagonals(rep, theta, phi, states), states)
+        for direction, record, row in zip(self.DIRECTIONS, records, stacked):
             expected = n_dot_j_tomogram(state.matrix, direction.theta, direction.phi)
             table = tomogram(state, rep, direction)
             assert np.abs(table.values - expected).max() <= 1e-12
             assert np.abs(np.asarray(record.values) - expected).max() <= 1e-12
+            assert np.abs(row - expected).max() <= 1e-12
             grid = expected.reshape(dims[::-1])
             info = shannon_ref(grid.sum(axis=0)) + shannon_ref(grid.sum(axis=1)) - shannon_ref(expected)
             assert abs(record.information - info) <= 1e-12
