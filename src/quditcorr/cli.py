@@ -23,7 +23,6 @@ from .classical import (
     marginal,
     split_conditionals,
     subadditivity_report,
-    tsallis_margin,
 )
 from .errors import QuditCorrError, UsageError
 from .fuzz import family_table, run_families
@@ -45,7 +44,7 @@ from .quantum import (
     validate,
     von_neumann_entropy,
 )
-from .reporting import CheckRecord, Report, json_line
+from .reporting import CheckRecord, Report, check, json_line
 from .tolerances import (
     CHSH_ATOL,
     DEMO_CLOSED_FORM_ATOL,
@@ -135,13 +134,18 @@ def _cmd_analyze_prob(args) -> Report:
 
     num_axes = factorization.num_axes
     left, right = report.left, report.right
+    # A block of one axis is that axis's marginal already.
+    blocks = {(1, split.s): left, (split.s + 1, num_axes): right}
 
     results = {
         "units": "nats",
         "marginals": {
             "left_block": left.probs,
             "right_block": right.probs,
-            **{f"axis_{k}": marginal(view, (k,)).probs for k in range(1, num_axes + 1)},
+            **{
+                f"axis_{k}": (blocks[k, k] if (k, k) in blocks else marginal(view, (k,))).probs
+                for k in range(1, num_axes + 1)
+            },
         },
         "S_left": report.s_left,
         "S_right": report.s_right,
@@ -149,14 +153,7 @@ def _cmd_analyze_prob(args) -> Report:
         "mutual_info": report.mutual_info,
         "subadditivity_holds": report.holds,
     }
-    checks = [
-        CheckRecord(
-            name="subadditivity",
-            value=report.mutual_info,
-            holds=report.holds,
-            tolerance=SUBADDITIVITY_ATOL,
-        )
-    ]
+    checks = [check("subadditivity", report.mutual_info, SUBADDITIVITY_ATOL)]
 
     if qs:
         suite = {}
@@ -164,24 +161,18 @@ def _cmd_analyze_prob(args) -> Report:
             s_q_left = _kernels.tsallis(left.probs, tq.q)
             s_q_right = _kernels.tsallis(right.probs, tq.q)
             s_q_joint = _kernels.tsallis(vector.probs, tq.q)
-            margin, holds = tsallis_margin(s_q_left, s_q_right, s_q_joint)
+            margin = s_q_left + s_q_right - s_q_joint
+            verdict = check(f"tsallis_subadditivity_q={tq.q:g}", margin, SUBADDITIVITY_ATOL)
             suite[f"{tq.q:g}"] = {
                 "S_q_left": s_q_left,
                 "S_q_right": s_q_right,
                 "S_q_joint": s_q_joint,
                 "margin": margin,
-                "holds": holds,
+                "holds": verdict.holds,
             }
             # Only q > 1 carries a guarantee; q < 1 is reported, not gated.
             if tq.q > 1.0:
-                checks.append(
-                    CheckRecord(
-                        name=f"tsallis_subadditivity_q={tq.q:g}",
-                        value=margin,
-                        holds=holds,
-                        tolerance=SUBADDITIVITY_ATOL,
-                    )
-                )
+                checks.append(verdict)
         results["tsallis"] = suite
 
     if args.conditionals:
@@ -203,34 +194,13 @@ def _cmd_analyze_prob(args) -> Report:
     return Report(request=request, seed=None, results=results, checks=checks)
 
 
-def _quantum_checks(state, mutual, chsh):
+def _quantum_checks(state, s_joint, mutual, chsh):
     checks = [
-        CheckRecord(
-            name="quantum_subadditivity",
-            value=mutual,
-            holds=bool(mutual >= -QUANTUM_MUTUAL_ATOL),
-            tolerance=QUANTUM_MUTUAL_ATOL,
-        ),
-        CheckRecord(
-            name="entropy_within_bounds",
-            value=von_neumann_entropy(state),
-            holds=bool(
-                -ENTROPY_BOUND_ATOL
-                <= von_neumann_entropy(state)
-                <= math.log(state.dim) + ENTROPY_BOUND_ATOL
-            ),
-            tolerance=ENTROPY_BOUND_ATOL,
-        ),
+        check("quantum_subadditivity", mutual, QUANTUM_MUTUAL_ATOL),
+        check("entropy_within_bounds", s_joint, ENTROPY_BOUND_ATOL, high=math.log(state.dim)),
     ]
     if chsh is not None:
-        checks.append(
-            CheckRecord(
-                name="tsirelson_bound",
-                value=chsh,
-                holds=bool(chsh <= 2.0 * math.sqrt(2.0) + CHSH_ATOL),
-                tolerance=CHSH_ATOL,
-            )
-        )
+        checks.append(check("tsirelson_bound", chsh, CHSH_ATOL, -math.inf, 2.0 * math.sqrt(2.0)))
     return checks
 
 
@@ -262,7 +232,7 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
     if chsh is not None:
         results["chsh_max"] = chsh
         results["bell_violated"] = bool(chsh > 2.0)
-    return results, _quantum_checks(state, mutual, chsh)
+    return results, _quantum_checks(state, s_joint, mutual, chsh)
 
 
 def _load_state(args) -> tuple[Factorization, DensityMatrix]:
@@ -317,43 +287,24 @@ def _cmd_tomogram_sweep(args) -> Report:
 
     argmin = min(range(len(records)), key=lambda k: records[k].information)
     min_information = records[argmin].information
-    max_norm_error = max(r.normalization_error for r in records)
+    max_error = max(r.normalization_error for r in records)
     checks = [
-        CheckRecord(
-            name="tomographic_information_min",
-            value=min_information,
-            holds=bool(min_information >= -SUBADDITIVITY_ATOL),
-            tolerance=SUBADDITIVITY_ATOL,
-        ),
-        CheckRecord(
-            name="tomogram_normalization_max_error",
-            value=max_norm_error,
-            holds=bool(max_norm_error <= TOMOGRAM_SUM_ATOL),
-            tolerance=TOMOGRAM_SUM_ATOL,
-        ),
+        check("tomographic_information_min", min_information, SUBADDITIVITY_ATOL),
+        check("tomogram_normalization_max_error", max_error, TOMOGRAM_SUM_ATOL, -math.inf, 0.0),
     ]
     for tq in qs:
-        if tq.q <= 1.0:
-            continue
-        # (margin, holds) pairs order by margin, so the least carries its own verdict.
-        margin, holds = min(
-            tsallis_margin(t.s_q1, t.s_q2, t.s_q) for t in (r.tsallis[tq.q] for r in records)
-        )
-        checks.append(
-            CheckRecord(
-                name=f"tomographic_tsallis_min_margin_q={tq.q:g}",
-                value=margin,
-                holds=holds,
-                tolerance=SUBADDITIVITY_ATOL,
+        if tq.q > 1.0:
+            margin = min(t.s_q1 + t.s_q2 - t.s_q for t in (r.tsallis[tq.q] for r in records))
+            checks.append(
+                check(f"tomographic_tsallis_min_margin_q={tq.q:g}", margin, SUBADDITIVITY_ATOL)
             )
-        )
     results = {
         "units": "nats",
         "spin_j": rep.j,
         "n_directions": len(records),
         "min_information": min_information,
         "min_information_direction": {"index": argmin, **_angles(records[argmin].direction)},
-        "max_normalization_error": max_norm_error,
+        "max_normalization_error": max_error,
     }
     request = {
         "subcommand": "tomogram-sweep",
@@ -368,26 +319,26 @@ def _cmd_tomogram_sweep(args) -> Report:
 
 # The four-level worked example: index tables, the equal-weight superposition
 # of the extreme levels, and its two-artificial-qubit diagnostics.
-_EXPECTED_Y = {"(1,1)": 1, "(2,1)": 2, "(1,2)": 3, "(2,2)": 4}
-_EXPECTED_X1 = {"1": 1, "2": 2, "3": 1, "4": 2}
-_EXPECTED_X2 = {"1": 1, "2": 1, "3": 2, "4": 2}
+_EXPECTED_TABLES = {
+    "y": {"(1,1)": 1, "(2,1)": 2, "(1,2)": 3, "(2,2)": 4},
+    "x1": {"1": 1, "2": 2, "3": 1, "4": 2},
+    "x2": {"1": 1, "2": 1, "3": 2, "4": 2},
+}
 
 
 def _cmd_demo_four_level(args) -> Report:
     factorization = Factorization((2, 2))
-    y_table = {
-        f"({x1},{x2})": compose(MultiIndex((x1, x2), factorization))
-        for x2 in (1, 2)
-        for x1 in (1, 2)
+    tables = {
+        "y": {
+            f"({x1},{x2})": compose(MultiIndex((x1, x2), factorization))
+            for x2 in (1, 2)
+            for x1 in (1, 2)
+        },
+        "x1": {str(y): decompose(y, factorization).coords[0] for y in range(1, 5)},
+        "x2": {str(y): decompose(y, factorization).coords[1] for y in range(1, 5)},
     }
-    x1_table = {str(y): decompose(y, factorization).coords[0] for y in range(1, 5)}
-    x2_table = {str(y): decompose(y, factorization).coords[1] for y in range(1, 5)}
     mismatches = sum(
-        (
-            sum(y_table[k] != v for k, v in _EXPECTED_Y.items()),
-            sum(x1_table[k] != v for k, v in _EXPECTED_X1.items()),
-            sum(x2_table[k] != v for k, v in _EXPECTED_X2.items()),
-        )
+        tables[name][k] != v for name, table in _EXPECTED_TABLES.items() for k, v in table.items()
     )
 
     # Equal superposition of the extreme spin projections, relabelled
@@ -396,55 +347,21 @@ def _cmd_demo_four_level(args) -> Report:
     amplitudes[0] = amplitudes[3] = 2.0**-0.5
     state = validate(np.outer(amplitudes, amplitudes))
     results, checks = _analyze_density_matrix(state, factorization, 1)
-    results["index_tables"] = {"y": y_table, "x1": x1_table, "x2": x2_table}
+    results["index_tables"] = tables
     results["state_vector"] = amplitudes
 
-    two_ln_two = 2.0 * math.log(2.0)
-    chsh = results["chsh_max"]
+    ln4, tsirelson = 2.0 * math.log(2.0), 2.0 * math.sqrt(2.0)
+    chsh, linear = results["chsh_max"], results["linear_entropy"]
     verdict = results["separability"]
+    witness = verdict["witness_value"]
     checks = checks + [
-        CheckRecord(
-            name="index_tables_match",
-            value=float(mismatches),
-            holds=mismatches == 0,
-            tolerance=0.0,
-        ),
-        CheckRecord(
-            name="mutual_info_equals_2ln2",
-            value=results["mutual_info"],
-            holds=bool(abs(results["mutual_info"] - two_ln_two) <= DEMO_CLOSED_FORM_ATOL),
-            tolerance=DEMO_CLOSED_FORM_ATOL,
-        ),
-        CheckRecord(
-            name="linear_entropy_equals_half",
-            value=results["linear_entropy"],
-            holds=bool(abs(results["linear_entropy"] - 0.5) <= DEMO_LINEAR_ENTROPY_ATOL),
-            tolerance=DEMO_LINEAR_ENTROPY_ATOL,
-        ),
-        CheckRecord(
-            name="ppt_witness_equals_minus_half",
-            value=verdict["witness_value"],
-            holds=bool(abs(verdict["witness_value"] + 0.5) <= DEMO_CLOSED_FORM_ATOL),
-            tolerance=DEMO_CLOSED_FORM_ATOL,
-        ),
-        CheckRecord(
-            name="state_entangled",
-            value=verdict["witness_value"],
-            holds=verdict["status"] == "entangled",
-            tolerance=PSD_ATOL,
-        ),
-        CheckRecord(
-            name="chsh_max_equals_2sqrt2",
-            value=chsh,
-            holds=bool(abs(chsh - 2.0 * math.sqrt(2.0)) <= CHSH_ATOL),
-            tolerance=CHSH_ATOL,
-        ),
-        CheckRecord(
-            name="bell_inequality_violated",
-            value=chsh,
-            holds=bool(chsh > 2.0),
-            tolerance=0.0,
-        ),
+        check("index_tables_match", float(mismatches), 0.0, 0.0, 0.0),
+        check("mutual_info_equals_2ln2", results["mutual_info"], DEMO_CLOSED_FORM_ATOL, ln4, ln4),
+        check("linear_entropy_equals_half", linear, DEMO_LINEAR_ENTROPY_ATOL, 0.5, 0.5),
+        check("ppt_witness_equals_minus_half", witness, DEMO_CLOSED_FORM_ATOL, -0.5, -0.5),
+        CheckRecord("state_entangled", witness, verdict["status"] == "entangled", PSD_ATOL),
+        check("chsh_max_equals_2sqrt2", chsh, CHSH_ATOL, tsirelson, tsirelson),
+        CheckRecord("bell_inequality_violated", chsh, bool(chsh > 2.0), 0.0),
     ]
     request = {"subcommand": "demo-four-level", "out": args.out}
     return Report(request=request, seed=0, results=results, checks=checks)
@@ -456,31 +373,21 @@ def _cmd_fuzz(args) -> Report:
     qs = _tsallis_params(args.q, default=(1.5, 2.0, 3.0))
     table = family_table(qs)
     rng = np.random.default_rng(args.seed)
-    margins, infinities, product_extreme = run_families(rng, args.count, table)
+    margins, infinities, product_max = run_families(rng, args.count, table)
 
     tolerances = {family.name: family.tolerance for family in table}
     checks = [
-        CheckRecord(
-            name=f"{name}_min_margin",
-            value=value,
-            holds=bool(value >= -tolerances[name]),
-            tolerance=tolerances[name],
-        )
+        check(f"{name}_min_margin", value, tolerances[name])
         for name, value in sorted(margins.items())
     ]
     checks.append(
-        CheckRecord(
-            name="classical_product_mutual_abs_max",
-            value=product_extreme,
-            holds=bool(product_extreme <= PRODUCT_MUTUAL_ATOL),
-            tolerance=PRODUCT_MUTUAL_ATOL,
-        )
+        check("classical_product_mutual_abs_max", product_max, PRODUCT_MUTUAL_ATOL, -math.inf, 0.0)
     )
     results = {
         "count_per_family": args.count,
         "min_margins": margins,
         "infinite_values_skipped": infinities,
-        "product_mutual_abs_max": product_extreme,
+        "product_mutual_abs_max": product_max,
     }
     request = {
         "subcommand": "fuzz",
@@ -506,10 +413,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _HANDLERS[args.command](args)
-    except QuditCorrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (QuditCorrError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

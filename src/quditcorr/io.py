@@ -21,13 +21,16 @@ from .tomography import Direction
 def load_probability_vector(path) -> ProbabilityVector:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(data, list):
             raise UsageError(f"{path}: expected a JSON array of probabilities")
-        values = data
+        try:
+            values = np.array(data, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{path}: probabilities must be numeric: {exc}") from None
     else:
         values = []
-        for line_number, line in enumerate(path.read_text().splitlines(), start=1):
+        for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
@@ -35,14 +38,14 @@ def load_probability_vector(path) -> ProbabilityVector:
                 values.append(float(line))
             except ValueError:
                 raise UsageError(f"{path}:{line_number}: not a number: {line!r}") from None
-    if not values:
+    if not len(values):
         raise UsageError(f"{path}: no probabilities found")
     return ProbabilityVector(values)
 
 
 def load_density_matrix(path) -> DensityMatrix:
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict) or "re" not in data:
         raise UsageError(f"{path}: expected an object with 'dim' and 're'/'im' arrays")
     try:
@@ -73,7 +76,7 @@ def write_density_matrix(state: DensityMatrix, path) -> None:
 
 def load_direction_grid(path) -> list[Direction]:
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, list) or not data:
         raise UsageError(f"{path}: expected a nonempty JSON array of directions")
     grid = []

@@ -23,6 +23,12 @@ class CheckRecord:
     tolerance: float
 
 
+def check(name: str, value, tolerance: float, low=0.0, high=math.inf) -> CheckRecord:
+    """The verdict `low - tolerance <= value <= high + tolerance`: a margin by default,
+    a ceiling with low = -inf, a closed form with low = high. A NaN never holds."""
+    return CheckRecord(name, value, bool(low - tolerance <= value <= high + tolerance), tolerance)
+
+
 def jsonable(obj):
     """Recursively convert report values to JSON-safe types.
 

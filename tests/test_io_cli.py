@@ -336,8 +336,8 @@ def _nan_diagonal_4x4():
 
 
 _BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
-# (name, subcommand and extra flags, input (a str is written as CSV, anything else as
-# JSON), grid file or None, dims, exit code, message fragment)
+# (name, subcommand and extra flags, input (str or bytes is written as CSV, anything else
+# as JSON), grid file or None, dims, exit code, message fragment)
 _MALFORMED = [
     ("all_nan_2x2", "analyze-dm", {"dim": 2, "re": [[math.nan] * 2] * 2}, None, "2,1", 2,
      "rho^dagger"),
@@ -351,6 +351,9 @@ _MALFORMED = [
     ("negative_infinity_json", "analyze-prob", [-math.inf, 1, 0, 0], None, "2,2", 2,
      "negative probability"),
     ("nan_q", "analyze-prob --q nan", [0.25] * 4, None, "2,2", 2, "Tsallis q = nan"),
+    ("string_probability", "analyze-prob", ["a", 0.5], None, "2,1", 2, "must be numeric"),
+    ("object_probability", "analyze-prob", [{"x": 1}], None, "1,1", 2, "must be numeric"),
+    ("non_utf8_csv", "analyze-prob", b"\xff\xfe0.5\n0.5\n", None, "2,1", 2, "can't decode"),
 ]
 
 
@@ -360,9 +363,9 @@ _MALFORMED = [
     ids=[row[0] for row in _MALFORMED],
 )
 def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims, code, fragment):
-    if isinstance(state, str):
+    if isinstance(state, (str, bytes)):
         state_path = tmp_path / "p.csv"
-        state_path.write_text(state)
+        state_path.write_bytes(state if isinstance(state, bytes) else state.encode())
     else:
         state_path = tmp_path / "input.json"
         state_path.write_text(json.dumps(state))  # json writes NaN and -Infinity bare

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quditcorr._version import __version__
-from quditcorr.reporting import CheckRecord, Report, jsonable
+from quditcorr.reporting import CheckRecord, Report, check, jsonable
 
 # allow_nan=False still draws +-inf, -0.0 and subnormals.
 finite_or_inf = st.floats(allow_nan=False)
@@ -110,3 +110,38 @@ def test_layout():
     }
     assert '\n    "b": [\n      1.5,\n      "-inf"\n    ],' in text
     assert '"2": "\\u00e9"' in text
+
+
+_TOL = 1e-10
+
+
+def test_check_margin_edge_is_inclusive():
+    assert check("m", -_TOL, _TOL).holds
+    assert not check("m", np.nextafter(-_TOL, -math.inf), _TOL).holds
+
+
+@pytest.mark.parametrize(
+    "low, high", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.log(4)), (0.5, 0.5)]
+)
+def test_check_nan_never_holds(low, high):
+    assert not check("nan", math.nan, _TOL, low, high).holds
+
+
+def test_check_infinite_margins():
+    assert check("m", math.inf, _TOL).holds
+    assert not check("m", -math.inf, _TOL).holds
+
+
+@pytest.mark.parametrize("target", [-0.5, 0.5, 2.0 * math.sqrt(2.0)])
+def test_check_closed_form_window(target):
+    low, high = target - _TOL, target + _TOL
+    assert check("t", low, _TOL, target, target).holds
+    assert check("t", high, _TOL, target, target).holds
+    assert not check("t", np.nextafter(low, -math.inf), _TOL, target, target).holds
+    assert not check("t", np.nextafter(high, math.inf), _TOL, target, target).holds
+
+
+def test_check_record_fields():
+    record = check("ceiling", np.float64(2e-10), _TOL, -math.inf, 0.0)
+    assert record == CheckRecord("ceiling", 2e-10, False, _TOL)
+    assert type(record.holds) is bool
