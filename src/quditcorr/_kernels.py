@@ -22,6 +22,13 @@ def tsallis(values: np.ndarray, q: float):
     return (_reduced(np.where(values > 0.0, values, 0.0) ** q) - 1.0) / (1.0 - q)
 
 
+def split_entropies(left: np.ndarray, right: np.ndarray, joint: np.ndarray, q: float = 1.0):
+    """(S1, S2, S12, S1 + S2 - S12): the entropies of two marginals (or reduced spectra)
+    and their joint, and the subadditivity margin; Shannon at q = 1, Tsallis otherwise."""
+    s1, s2, s12 = (shannon(p) if q == 1.0 else tsallis(p, q) for p in (left, right, joint))
+    return s1, s2, s12, s1 + s2 - s12
+
+
 def _support(p: np.ndarray, r: np.ndarray):
     """Where P charges a point R also charges, and where R vanishes under P."""
     mask = p > 0.0

@@ -228,10 +228,9 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
     m = view.factorization.num_axes
     left = marginal(view, range(1, split.s + 1))
     right = marginal(view, range(split.s + 1, m + 1))
-    s_left = _kernels.shannon(left.probs)
-    s_right = _kernels.shannon(right.probs)
-    s_joint = _kernels.shannon(view.base.probs)
-    mutual = s_left + s_right - s_joint
+    s_left, s_right, s_joint, mutual = _kernels.split_entropies(
+        left.probs, right.probs, view.base.probs
+    )
     return SubadditivityReport(
         s_left=s_left,
         s_right=s_right,
@@ -241,13 +240,6 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
         left=left,
         right=right,
     )
-
-
-def tsallis_margin(s_q1, s_q2, s_q):
-    """The Tsallis subadditivity margin S_q1 + S_q2 - S_q of two marginals and their
-    joint, and whether it holds within SUBADDITIVITY_ATOL; floats or arrays."""
-    margin = s_q1 + s_q2 - s_q
-    return margin, margin >= -SUBADDITIVITY_ATOL
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .quantum import (
     partial_trace_right,
     separability_test,
     validate,
-    von_neumann_entropy,
 )
 from .reporting import CheckRecord, Report, check, json_line
 from .tolerances import (
@@ -158,10 +157,9 @@ def _cmd_analyze_prob(args) -> Report:
     if qs:
         suite = {}
         for tq in qs:
-            s_q_left = _kernels.tsallis(left.probs, tq.q)
-            s_q_right = _kernels.tsallis(right.probs, tq.q)
-            s_q_joint = _kernels.tsallis(vector.probs, tq.q)
-            margin = s_q_left + s_q_right - s_q_joint
+            s_q_left, s_q_right, s_q_joint, margin = _kernels.split_entropies(
+                left.probs, right.probs, vector.probs, tq.q
+            )
             verdict = check(f"tsallis_subadditivity_q={tq.q:g}", margin, SUBADDITIVITY_ATOL)
             suite[f"{tq.q:g}"] = {
                 "S_q_left": s_q_left,
@@ -209,10 +207,9 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
     split = QuditSplit(factorization, s)
     rho_left = partial_trace_right(reshaped, split)
     rho_right = partial_trace_left(reshaped, split)
-    s_joint = von_neumann_entropy(state)
-    s_left = von_neumann_entropy(rho_left)
-    s_right = von_neumann_entropy(rho_right)
-    mutual = s_left + s_right - s_joint
+    s_left, s_right, s_joint, mutual = _kernels.split_entropies(
+        rho_left.eigenvalues, rho_right.eigenvalues, state.eigenvalues
+    )
     verdict = separability_test(reshaped, split)
     chsh = None
     if split.dim_left == 2 and split.dim_right == 2:
@@ -370,6 +367,8 @@ def _cmd_demo_four_level(args) -> Report:
 def _cmd_fuzz(args) -> Report:
     if args.count < 1:
         raise UsageError(f"count must be positive, got {args.count}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {args.seed}")
     qs = _tsallis_params(args.q, default=(1.5, 2.0, 3.0))
     table = family_table(qs)
     rng = np.random.default_rng(args.seed)
@@ -413,17 +412,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _HANDLERS[args.command](args)
-    except (QuditCorrError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        text = report.render()
+        out = getattr(args, "out", None)
+        if out and args.command != "tomogram-sweep":
+            # tomogram-sweep already used --out for its per-direction records.
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except (QuditCorrError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    text = report.render()
-    out = getattr(args, "out", None)
-    if out and args.command != "tomogram-sweep":
-        # tomogram-sweep already used --out for its per-direction records.
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0 if report.all_hold else 1
 
 

@@ -11,16 +11,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import relative_shannon, relative_tsallis, shannon
+from ._kernels import relative_shannon, relative_tsallis, split_entropies
 from .classical import probability_rows
 from .partition import Factorization
-from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, spectral_entropy, validate_stack
+from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, validate_stack
 from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions, zx_distributions
 from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, random_directions
 from .sampling import random_factorizations
 from .tolerances import QUANTUM_MUTUAL_ATOL, SUBADDITIVITY_ATOL
-from .tomography import marginal_pair, spin_rep, split_information, tomogram_diagonals
-from .tomography import tomogram_values
+from .tomography import marginal_pair, spin_rep, tomogram_diagonals, tomogram_values
 
 BLOCK = 256  # samples per stack; 1000-sample stacks raise peak RSS by about 2.5 MB
 _TWO_QUBITS = Factorization((2, 2))  # the tomographic family's spin 3/2
@@ -47,7 +46,7 @@ def split_mutual_information(joint: np.ndarray, d_left: np.ndarray) -> np.ndarra
         np.bincount((base + index).ravel(), joint.ravel(), size * width).reshape(size, width)
         for index in (y % d_left[:, None], y // d_left[:, None])
     )
-    return sum(shannon(probability_rows(m)) for m in marginals) - shannon(joint)
+    return split_entropies(*(probability_rows(m) for m in marginals), joint)[3]
 
 
 def draw_classical(rng, size):
@@ -94,9 +93,9 @@ def quantum_margin(block):
         for dl in _present(d_left[rows][has_split[rows]]):
             sample, split = np.nonzero((d_left[rows] == dl) & has_split[rows])
             blocks = block_view(states[sample], int(dl), states.shape[-1] // int(dl))
-            s_left, s_right = (spectral_entropy(validate_stack(np.einsum(keep, blocks))[1])
-                               for keep in (KEEP_LEADING, KEEP_TRAILING))
-            out[rows[sample], split] = s_left + s_right - spectral_entropy(spectra[sample])
+            reduced = (validate_stack(np.einsum(keep, blocks))[1]
+                       for keep in (KEEP_LEADING, KEEP_TRAILING))
+            out[rows[sample], split] = split_entropies(*reduced, spectra[sample])[3]
     return out[has_split]
 
 
@@ -118,7 +117,7 @@ def draw_tomographic(rng, size):
 def tomographic_margin(block):
     states, theta, phi = block
     values, _ = tomogram_values(tomogram_diagonals(spin_rep(1.5), theta, phi, states), states)
-    return split_information(*marginal_pair(values, _TWO_QUBITS), values)
+    return split_entropies(*marginal_pair(values, _TWO_QUBITS), values)[3]
 
 
 def family_table(qs) -> list[Family]:

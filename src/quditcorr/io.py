@@ -18,10 +18,17 @@ from .quantum import DensityMatrix, validate
 from .tomography import Direction
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def load_probability_vector(path) -> ProbabilityVector:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path))
         if not isinstance(data, list):
             raise UsageError(f"{path}: expected a JSON array of probabilities")
         try:
@@ -30,7 +37,7 @@ def load_probability_vector(path) -> ProbabilityVector:
             raise UsageError(f"{path}: probabilities must be numeric: {exc}") from None
     else:
         values = []
-        for line_number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        for line_number, line in enumerate(_read_text(path).splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
@@ -45,7 +52,7 @@ def load_probability_vector(path) -> ProbabilityVector:
 
 def load_density_matrix(path) -> DensityMatrix:
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = json.loads(_read_text(path))
     if not isinstance(data, dict) or "re" not in data:
         raise UsageError(f"{path}: expected an object with 'dim' and 're'/'im' arrays")
     try:
@@ -76,7 +83,7 @@ def write_density_matrix(state: DensityMatrix, path) -> None:
 
 def load_direction_grid(path) -> list[Direction]:
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = json.loads(_read_text(path))
     if not isinstance(data, list) or not data:
         raise UsageError(f"{path}: expected a nonempty JSON array of directions")
     grid = []

@@ -123,21 +123,15 @@ def partial_trace_left(rs: ReshapedState, split: QuditSplit) -> DensityMatrix:
     return DensityMatrix(np.einsum(KEEP_TRAILING, _block_view(rs, split)))
 
 
-def spectral_entropy(eigenvalues: np.ndarray):
-    """Entropy in nats of (..., N) spectra, the [-PSD_ATOL, 0) slack zeroed."""
-    return _kernels.shannon(np.where(eigenvalues < 0.0, 0.0, eigenvalues))
-
-
 def von_neumann_entropy(state: DensityMatrix) -> float:
-    """-Tr rho ln rho over the clamped spectrum, in nats."""
-    return spectral_entropy(state.eigenvalues)
+    """-Tr rho ln rho in nats; the kernel's mask drops the [-PSD_ATOL, 0) slack."""
+    return _kernels.shannon(state.eigenvalues)
 
 
 def mutual_quantum_information(rs: ReshapedState, split: QuditSplit) -> float:
     """S(rho_left) + S(rho_right) - S(rho); nonnegative by subadditivity."""
-    s_left = von_neumann_entropy(partial_trace_right(rs, split))
-    s_right = von_neumann_entropy(partial_trace_left(rs, split))
-    return s_left + s_right - von_neumann_entropy(rs.base)
+    states = (partial_trace_right(rs, split), partial_trace_left(rs, split), rs.base)
+    return _kernels.split_entropies(*(state.eigenvalues for state in states))[3]
 
 
 def linear_entropy(rs: ReshapedState, split: QuditSplit) -> float:

@@ -14,7 +14,7 @@ PROB_SUM_ATOL = 1e-12
 # Density-matrix validation.
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10  # eigenvalue floor; the same window is clamped to 0 for entropies
+PSD_ATOL = 1e-10  # eigenvalue floor; the entropy kernels mask this window out
 
 # Inequality margins.
 SUBADDITIVITY_ATOL = 1e-10       # classical subadditivity and the matrix-element inequalities

@@ -18,13 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .classical import ProbabilityVector, TsallisParam, tsallis_margin
+from .classical import ProbabilityVector, TsallisParam
 from .errors import DomainError, UsageError
 from .partition import Factorization
 from .quantum import DensityMatrix
 from .tolerances import (
     PSD_ATOL,
     SPIN_J_ATOL,
+    SUBADDITIVITY_ATOL,
     TOMOGRAM_NEG_CLAMP,
     TOMOGRAM_SUM_ATOL,
 )
@@ -236,16 +237,11 @@ class TsallisTomogramReport:
     subadditivity_holds: bool
 
 
-def split_information(first, second, values):
-    """S1 + S2 - S from the marginals and the table, single or stacked."""
-    return _kernels.shannon(first) + _kernels.shannon(second) - _kernels.shannon(values)
-
-
 def _tsallis_reports(first, second, values, q: float) -> list[TsallisTomogramReport]:
     """One report per row of (..., N) marginals and tables."""
-    entropies = np.array([_kernels.tsallis(p, q) for p in (first, second, values)]).reshape(3, -1)
-    _, holds = tsallis_margin(*entropies)
-    return [TsallisTomogramReport(*row) for row in zip(*entropies.tolist(), holds.tolist())]
+    table = np.reshape(_kernels.split_entropies(first, second, values, q), (4, -1))
+    holds = table[3] >= -SUBADDITIVITY_ATOL
+    return [TsallisTomogramReport(*row) for row in zip(*table[:3].tolist(), holds.tolist())]
 
 
 def tomographic_tsallis_report(
@@ -277,7 +273,7 @@ def tomographic_tsallis_relative(
 def mutual_tomographic_information(table: TomogramTable, factorization: Factorization) -> float:
     """S1 + S2 - S of the tomogram's partition view; zero means no hidden
     correlations at this direction."""
-    return split_information(*marginal_pair(table.values, factorization), table.values)
+    return _kernels.split_entropies(*marginal_pair(table.values, factorization), table.values)[3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +306,7 @@ def direction_sweep(
     diagonals = np.array([tomogram_diagonals(rep, d.theta, d.phi, rho) for d in directions])
     values, errors = tomogram_values(diagonals, rho)
     first, second = marginal_pair(values, factorization)
-    information = split_information(first, second, values).tolist()
+    information = _kernels.split_entropies(first, second, values)[3].tolist()
     tsallis = {tq.q: _tsallis_reports(first, second, values, tq.q) for tq in qs}
     rows = zip(directions, values.tolist(), errors.tolist())
     return [

@@ -19,6 +19,11 @@ def shannon_ref(values) -> float:
     return -sum(v * math.log(v) for v in values if v > 0.0)
 
 
+def tsallis_ref(values, q: float) -> float:
+    """Plain-Python Tsallis entropy (1 - sum p^q) / (q - 1)."""
+    return (1.0 - sum(v**q for v in values if v > 0.0)) / (q - 1.0)
+
+
 def all_coords(dims):
     """Every 1-based coordinate tuple over `dims` (any order)."""
     return iter_product(*[range(1, d + 1) for d in dims])

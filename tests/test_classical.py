@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import shannon_ref
+from helpers import random_density, shannon_ref, tsallis_ref
+from quditcorr import _kernels
 from quditcorr import (
     ConditioningOnNull,
     DomainError,
@@ -23,6 +24,8 @@ from quditcorr import (
     split_conditionals,
     subadditivity_report,
     tsallis_entropy,
+    validate,
+    von_neumann_entropy,
 )
 
 LN2 = math.log(2.0)
@@ -308,6 +311,59 @@ class TestSubadditivity:
         view = view_of([0.25] * 4, (2, 2))
         with pytest.raises(UsageError):
             subadditivity_report(view, QuditSplit(Factorization((4, 2)), 1))
+
+
+def _split_draws(rng, shape, d_left, d_right):
+    """Dirichlet joints of shape (*shape, d_left * d_right) with some exact zeros, and
+    their left (fast index) and right marginals."""
+    joint = rng.dirichlet(np.ones(d_left * d_right), size=shape)
+    joint[rng.random(joint.shape) < 0.2] = 0.0
+    joint[..., 0] += 1.0 - joint.sum(axis=-1)
+    table = joint.reshape(*joint.shape[:-1], d_right, d_left)
+    return table.sum(axis=-2), table.sum(axis=-1), joint
+
+
+class TestSplitEntropies:
+    @pytest.mark.parametrize("q", [1.0, 0.5, 2.0, 3.0])
+    def test_matches_loop_oracles(self, q):
+        rng = np.random.default_rng(41)
+        oracle = shannon_ref if q == 1.0 else (lambda values: tsallis_ref(values, q))
+        for _ in range(200):
+            d_left, d_right = (int(d) for d in rng.integers(2, 6, size=2))
+            left, right, joint = _split_draws(rng, (), d_left, d_right)
+            s1, s2, s12, margin = _kernels.split_entropies(left, right, joint, q)
+            for got, values in zip((s1, s2, s12), (left, right, joint)):
+                assert abs(got - oracle(values.tolist())) <= 1e-13
+            assert margin == s1 + s2 - s12
+
+    @pytest.mark.parametrize("shape", [(40,), (4, 5)])
+    @pytest.mark.parametrize("q", [1.0, 0.5, 2.0, 3.0])
+    def test_stack_rows_equal_single_calls(self, shape, q):
+        rng = np.random.default_rng(42)
+        left, right, joint = _split_draws(rng, shape, 3, 4)
+        stacked = _kernels.split_entropies(left, right, joint, q)
+        assert stacked[3].shape == shape
+        np.testing.assert_array_equal(stacked[3], stacked[0] + stacked[1] - stacked[2])
+        for index in np.ndindex(*shape):
+            single = _kernels.split_entropies(left[index], right[index], joint[index], q)
+            assert single == tuple(float(s[index]) for s in stacked)
+
+    def test_von_neumann_needs_no_clamp(self):
+        # Slack eigenvalues in [-PSD_ATOL, 0) add -0.0 under the kernel's mask, so the
+        # entropy equals the one of the clamped spectrum bit for bit.
+        rng = np.random.default_rng(43)
+        states = [validate(np.diag([0.75 + 1e-11, 0.25, -1e-11]))]
+        for n in (2, 3, 4, 6, 16, 64):
+            states.append(validate(random_density(rng, n)))
+            for rank in (1, 2):
+                g = rng.standard_normal((n, rank)) + 1.0j * rng.standard_normal((n, rank))
+                states.append(validate(g @ g.conj().T / np.linalg.norm(g) ** 2))
+        slack = 0
+        for state in states:
+            ev = state.eigenvalues
+            slack += int((ev < 0.0).any())
+            assert von_neumann_entropy(state) == _kernels.shannon(np.where(ev < 0, 0, ev))
+        assert slack >= 5
 
 
 class TestClassicalSsa:

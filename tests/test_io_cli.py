@@ -337,7 +337,8 @@ def _nan_diagonal_4x4():
 
 _BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
 # (name, subcommand and extra flags, input (str or bytes is written as CSV, anything else
-# as JSON), grid file or None, dims, exit code, message fragment)
+# as JSON), grid (bytes are written raw, anything else as JSON) or None, dims, exit code,
+# message fragment)
 _MALFORMED = [
     ("all_nan_2x2", "analyze-dm", {"dim": 2, "re": [[math.nan] * 2] * 2}, None, "2,1", 2,
      "rho^dagger"),
@@ -354,6 +355,7 @@ _MALFORMED = [
     ("string_probability", "analyze-prob", ["a", 0.5], None, "2,1", 2, "must be numeric"),
     ("object_probability", "analyze-prob", [{"x": 1}], None, "1,1", 2, "must be numeric"),
     ("non_utf8_csv", "analyze-prob", b"\xff\xfe0.5\n0.5\n", None, "2,1", 2, "can't decode"),
+    ("non_utf8_grid", "tomogram-sweep", _BELL, b"\xff\xfe[]", "2,2", 2, "grid.json: "),
 ]
 
 
@@ -372,12 +374,33 @@ def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims,
     argv = [*subcommand.split(), "--input", str(state_path), "--dims", dims]
     if grid is not None:
         grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps(grid))
+        grid_path.write_bytes(grid if isinstance(grid, bytes) else json.dumps(grid).encode())
         argv += ["--grid", str(grid_path)]
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert out == ""
     assert err.startswith("error: ") and fragment in err
+
+
+_OUT_ARGS = {
+    "analyze-prob": ["--input", "p.json", "--dims", "2,2"],
+    "analyze-dm": ["--input", "rho.json", "--dims", "2,2"],
+    "tomogram-sweep": ["--input", "rho.json", "--dims", "2,2"],
+    "demo-four-level": [],
+    "fuzz": ["--count", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OUT_ARGS))
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    (tmp_path / "p.json").write_text(json.dumps([0.25] * 4))
+    (tmp_path / "rho.json").write_text(json.dumps(_BELL))
+    out_path = tmp_path / "missing" / "report.json"
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in _OUT_ARGS[command]]
+    code, out, err = run_cli(capsys, command, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(out_path) in err
 
 
 class TestDemoAndFuzz:
@@ -421,3 +444,8 @@ class TestDemoAndFuzz:
     def test_fuzz_bad_count_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--count", "0")
         assert code == 2 and "count" in err
+
+    def test_fuzz_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "-1", "--count", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "seed must be nonnegative, got -1" in err

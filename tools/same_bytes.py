@@ -1,0 +1,164 @@
+"""Check that the CLI at a git revision and in the working tree give the same bytes.
+
+    python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
+
+The script extracts src/ at REV with `git archive`, writes a fixed corpus of
+30 commands and their inputs (drawn with numpy from a fixed seed) into one
+temporary directory, and runs the corpus in one fresh interpreter per tree:
+REV's src/ and the working tree's src/. Both trees read the same input paths,
+so the paths echoed in reports agree. For each command it compares the exit
+code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
+then "k/30 identical", and exits 1 on any mismatch.
+"""
+
+import io
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs in the fresh interpreter: argv = [src dir, corpus file, results file].
+_RUNNER = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+src, corpus, results = sys.argv[1:]
+sys.path.insert(0, src)
+import quditcorr
+if not quditcorr.__file__.startswith(src):
+    sys.exit(f"imported quditcorr from {quditcorr.__file__}, not {src}")
+from quditcorr.cli import main
+outcomes = []
+for argv, out in json.loads(Path(corpus).read_text()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+    written = None
+    if out is not None and Path(out).exists():
+        written = Path(out).read_bytes().decode("utf-8", "backslashreplace")
+        Path(out).unlink()
+    outcomes.append({"exit code": code, "stdout": stdout.getvalue(),
+                     "stderr": stderr.getvalue(), "--out bytes": written})
+Path(results).write_text(json.dumps(outcomes))
+"""
+
+# (dims, split): 2- and 3-axis layouts at N = 4 to 256, every split of each.
+_LAYOUTS = [((2, 2), 1), ((3, 4), 1), ((2, 3, 2), 1), ((2, 3, 2), 2), ((4, 16), 1),
+            ((4, 4, 4), 1), ((4, 4, 4), 2), ((16, 16), 1), ((2, 8, 16), 1), ((2, 8, 16), 2)]
+# (dims, extra flags, whether to pass a random --grid): one sweep per spin dimension.
+_SWEEPS = [((2, 2), ["--q", "2"], False), ((2, 3), ["--q", "0.5", "--q", "3"], True),
+           ((4, 4), ["--q", "2"], False), ((8, 8), ["--q", "2", "--q", "3"], True),
+           ((16, 16), ["--q", "2"], False)]
+
+
+def _density(rng, n: int, rank: int) -> dict:
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return {"dim": n, "re": rho.real.tolist(), "im": rho.imag.tolist()}
+
+
+def _probabilities(rng, n: int) -> np.ndarray:
+    p = rng.dirichlet(np.ones(n))
+    p[rng.permutation(n)[: n // 4]] = 0.0  # exact zeros take the masked kernel path
+    return p / p.sum()
+
+
+def write_corpus(tmp: Path) -> list:
+    """The 30 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    rng = np.random.default_rng(20171)
+    commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
+                (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None)]
+    out = str(tmp / "fuzz_7919.json")
+    commands.append((["fuzz", "--seed", "7919", "--out", out], out))
+
+    for k, (dims, split) in enumerate(_LAYOUTS):
+        n = int(np.prod(dims))
+        layout = ["--dims", ",".join(map(str, dims)), "--split", str(split)]
+        state = tmp / f"dm_{k}.json"
+        state.write_text(json.dumps(_density(rng, n, (n, 1, 2)[k % 3])))
+        out = str(tmp / f"dm_{k}_out.json") if k % 2 else None
+        commands.append((["analyze-dm", "--input", str(state), *layout]
+                         + (["--out", out] if out else []), out))
+        p = _probabilities(rng, n)
+        if n <= 12:
+            vector = tmp / f"p_{k}.csv"
+            vector.write_text("".join(f"{v!r}\n" for v in p.tolist()))
+        else:
+            vector = tmp / f"p_{k}.json"
+            vector.write_text(json.dumps(p.tolist()))
+        out = str(tmp / f"p_{k}_out.json") if k % 2 == 0 else None
+        commands.append((["analyze-prob", "--input", str(vector), *layout, "--q", "2",
+                          "--q", "0.5", "--q", "3", "--conditionals"]
+                         + (["--out", out] if out else []), out))
+
+    psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    pure = tmp / "pure_2x3.json"
+    pure.write_text(json.dumps({"dim": 6, "re": rho.real.tolist(), "im": rho.imag.tolist()}))
+    commands.append((["analyze-dm", "--input", str(pure), "--dims", "2,3"], None))
+
+    for dims, flags, custom_grid in _SWEEPS:
+        n = int(np.prod(dims))
+        state = tmp / f"spin_{n}.json"
+        state.write_text(json.dumps(_density(rng, n, n if n < 64 else 3)))
+        out = str(tmp / f"spin_{n}_records.jsonl")
+        argv = ["tomogram-sweep", "--input", str(state), "--dims", ",".join(map(str, dims)),
+                *flags, "--out", out]
+        if custom_grid:
+            theta = rng.uniform(0.0, np.pi, 40)
+            phi = rng.uniform(0.0, 2.0 * np.pi, 40)
+            psi_angle = rng.uniform(-np.pi, np.pi, 40)
+            path = tmp / f"grid_{n}.json"
+            path.write_text(json.dumps([{"theta": t, "phi": f, "psi": s} for t, f, s
+                                        in zip(theta.tolist(), phi.tolist(), psi_angle.tolist())]))
+            argv += ["--grid", str(path)]
+        commands.append((argv, out))
+    return commands
+
+
+def run_tree(src: Path, corpus: Path, results: Path) -> list:
+    subprocess.run([sys.executable, "-c", _RUNNER, str(src), str(corpus), str(results)],
+                   check=True, cwd=corpus.parent)
+    return json.loads(results.read_text())
+
+
+def main(argv) -> int:
+    if len(argv) > 1:
+        sys.exit("usage: same_bytes.py [REV]")
+    rev = argv[0] if argv else "HEAD"
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "rev", filter="data")
+        commands = write_corpus(tmp)
+        corpus = tmp / "corpus.json"
+        corpus.write_text(json.dumps(commands))
+        before = run_tree(tmp / "rev" / "src", corpus, tmp / "rev.json")
+        after = run_tree(ROOT / "src", corpus, tmp / "tree.json")
+    identical = 0
+    for (command, _), old, new in zip(commands, before, after):
+        differing = [key for key in old if old[key] != new[key]]
+        if differing:
+            print(f"MISMATCH ({', '.join(differing)}): {' '.join(command)}")
+        else:
+            identical += 1
+    print(f"{identical}/{len(commands)} identical")
+    return 0 if identical == len(commands) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
