@@ -8,7 +8,6 @@ validation); 2 = input or usage error.
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -419,7 +418,7 @@ def main(argv=None) -> int:
             Path(out).write_text(text)
         else:
             sys.stdout.write(text)
-    except (QuditCorrError, OSError, json.JSONDecodeError) as exc:
+    except (QuditCorrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.all_hold else 1

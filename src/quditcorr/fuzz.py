@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import relative_shannon, relative_tsallis, split_entropies
+from ._kernels import relative_shannon, relative_tsallis, shannon, split_entropies
 from .classical import probability_rows
 from .partition import Factorization
 from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, validate_stack
@@ -84,19 +84,26 @@ def draw_quantum(rng, size):
 
 
 def quantum_margin(block):
-    """Mutual information at every split of every state, sample-major."""
+    """Mutual information at every split of every state, sample-major; the reduced
+    states are validated and their entropies taken in one stack per dimension."""
     dims, classes = block
     d_left = np.cumprod(dims, axis=1)[:, :-1]
     has_split = np.arange(1, dims.shape[1]) < (dims > 1).sum(axis=1)[:, None]
-    out = np.zeros(d_left.shape)
+    entropies = np.zeros((3, *d_left.shape))  # S1, S2, S12 per (sample, split)
+    stacks: dict[int, list] = {}  # reduced dimension -> [(flat slots, matrices)]
     for rows, states, spectra in classes:
+        entropies[2, rows] = shannon(spectra)[:, None]
         for dl in _present(d_left[rows][has_split[rows]]):
             sample, split = np.nonzero((d_left[rows] == dl) & has_split[rows])
             blocks = block_view(states[sample], int(dl), states.shape[-1] // int(dl))
-            reduced = (validate_stack(np.einsum(keep, blocks))[1]
-                       for keep in (KEEP_LEADING, KEEP_TRAILING))
-            out[rows[sample], split] = split_entropies(*reduced, spectra[sample])[3]
-    return out[has_split]
+            for side, keep in enumerate((KEEP_LEADING, KEEP_TRAILING)):
+                reduced = np.einsum(keep, blocks)
+                slots = np.ravel_multi_index((side, rows[sample], split), entropies.shape)
+                stacks.setdefault(reduced.shape[-1], []).append((slots, reduced))
+    for parts in stacks.values():
+        slots, matrices = zip(*parts)
+        entropies.flat[np.concatenate(slots)] = shannon(validate_stack(np.concatenate(matrices))[1])
+    return (entropies[0] + entropies[1] - entropies[2])[has_split]
 
 
 def draw_qubits(rng, size):

@@ -18,17 +18,18 @@ from .quantum import DensityMatrix, validate
 from .tomography import Direction
 
 
-def _read_text(path: Path) -> str:
+def _read(path: Path, parse=str):
+    """parse(text of the UTF-8 file); a decoding error names the file."""
     try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
+        return parse(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
 def load_probability_vector(path) -> ProbabilityVector:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        data = json.loads(_read_text(path))
+        data = _read(path, json.loads)
         if not isinstance(data, list):
             raise UsageError(f"{path}: expected a JSON array of probabilities")
         try:
@@ -37,7 +38,7 @@ def load_probability_vector(path) -> ProbabilityVector:
             raise UsageError(f"{path}: probabilities must be numeric: {exc}") from None
     else:
         values = []
-        for line_number, line in enumerate(_read_text(path).splitlines(), 1):
+        for line_number, line in enumerate(_read(path).splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
@@ -52,7 +53,7 @@ def load_probability_vector(path) -> ProbabilityVector:
 
 def load_density_matrix(path) -> DensityMatrix:
     path = Path(path)
-    data = json.loads(_read_text(path))
+    data = _read(path, json.loads)
     if not isinstance(data, dict) or "re" not in data:
         raise UsageError(f"{path}: expected an object with 'dim' and 're'/'im' arrays")
     try:
@@ -83,7 +84,7 @@ def write_density_matrix(state: DensityMatrix, path) -> None:
 
 def load_direction_grid(path) -> list[Direction]:
     path = Path(path)
-    data = json.loads(_read_text(path))
+    data = _read(path, json.loads)
     if not isinstance(data, list) or not data:
         raise UsageError(f"{path}: expected a nonempty JSON array of directions")
     grid = []

@@ -71,9 +71,11 @@ class QuditSplit:
     s: int
 
     def __post_init__(self):
-        m = self.factorization.num_axes
-        if not 1 <= self.s < m:
-            raise DomainError(f"split point s = {self.s} outside 1..{m - 1}")
+        dims = self.factorization.dims
+        if len(dims) < 2:
+            raise DomainError(f"a split needs at least two axes, got dims {dims}")
+        if not 1 <= self.s < len(dims):
+            raise DomainError(f"split point s = {self.s} outside 1..{len(dims) - 1}")
 
     @property
     def dim_left(self) -> int:

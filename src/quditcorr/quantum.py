@@ -23,6 +23,11 @@ _PAULIS = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
+# sigma_j x sigma_i (leading block fast, so second in kron), i-major.  Each has one
+# nonzero entry per column k, at row _T_ROWS[., k]; Tr(rho P) sums rho[k, row] P[row, k].
+_T_KRONS = np.array([np.kron(right, left) for left in _PAULIS for right in _PAULIS])
+_T_ROWS = np.abs(_T_KRONS).argmax(axis=1)
+_T_PHASES = np.take_along_axis(_T_KRONS, _T_ROWS[:, None], axis=1)[:, 0]
 
 # Blocks where a nonnegative partial-transpose spectrum decides separability.
 _PPT_DECISIVE = {(2, 2), (2, 3), (3, 2)}
@@ -185,13 +190,8 @@ def correlation_matrix(rs: ReshapedState, split: QuditSplit) -> np.ndarray:
         raise UsageError(
             f"both blocks must be two-dimensional, got {split.dim_left}x{split.dim_right}"
         )
-    rho = rs.base.matrix
-    t = np.empty((3, 3))
-    for i, left in enumerate(_PAULIS):
-        for j, right in enumerate(_PAULIS):
-            # The leading block is the fast index, so it sits second in kron.
-            t[i, j] = float(np.trace(rho @ np.kron(right, left)).real)
-    return t
+    terms = rs.base.matrix[np.arange(4), _T_ROWS] * _T_PHASES
+    return terms.sum(axis=-1).real.reshape(3, 3)
 
 
 def chsh_max(rs: ReshapedState, split: QuditSplit) -> float:

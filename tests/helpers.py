@@ -12,6 +12,8 @@ from itertools import product as iter_product
 import numpy as np
 
 from quditcorr import Factorization, MultiIndex, compose, decompose
+from quditcorr._kernels import split_entropies
+from quditcorr.quantum import KEEP_LEADING, KEEP_TRAILING, block_view, validate_stack
 
 
 def shannon_ref(values) -> float:
@@ -120,3 +122,21 @@ def n_dot_j_tomogram(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
     )
     _, vectors = np.linalg.eigh(n_dot_j)
     return np.array([(vectors[:, k].conj() @ rho @ vectors[:, k]).real for k in range(dim)])
+
+
+def quantum_margin_per_split(block) -> np.ndarray:
+    """The fuzz quantum family's margins, one dimension class and one split
+    point at a time: each (class, split) group validates its own two reduced
+    stacks and takes their entropies and its states' joint entropies."""
+    dims, classes = block
+    d_left = np.cumprod(dims, axis=1)[:, :-1]
+    has_split = np.arange(1, dims.shape[1]) < (dims > 1).sum(axis=1)[:, None]
+    out = np.zeros(d_left.shape)
+    for rows, states, spectra in classes:
+        for dl in sorted(set(d_left[rows][has_split[rows]].tolist())):
+            sample, split = np.nonzero((d_left[rows] == dl) & has_split[rows])
+            blocks = block_view(states[sample], dl, states.shape[-1] // dl)
+            reduced = [validate_stack(np.einsum(keep, blocks))[1]
+                       for keep in (KEEP_LEADING, KEEP_TRAILING)]
+            out[rows[sample], split] = split_entropies(*reduced, spectra[sample])[3]
+    return out[has_split]

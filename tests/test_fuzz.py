@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import quantum_margin_per_split, random_density
 from quditcorr import (
     DensityMatrix,
     Direction,
@@ -33,14 +33,17 @@ from quditcorr import (
     subadditivity_report,
     tomogram,
 )
+from quditcorr import fuzz
 from quditcorr.classical import probability_rows
 from quditcorr.fuzz import (
     BLOCK,
     Family,
     blocks,
     draw_products,
+    draw_quantum,
     family_table,
     product_mutual_abs,
+    quantum_margin,
     run_families,
     tomographic_margin,
 )
@@ -159,6 +162,38 @@ def test_product_layout_matches_outer_product():
         for (nl, nr), l, r in zip(sizes, left, right)
     ]
     _assert_same(product_mutual_abs(block), expected)
+
+
+def _quantum_blocks():
+    """Blocks of the quantum family: full and partial ones, a 1-sample tail
+    block (count BLOCK + 1) and 1-sample blocks, whose classes hold one state."""
+    for seed in (0, 1, 7, 7919):
+        for count in (1, 5, BLOCK + 1):
+            yield from blocks(np.random.default_rng(seed), count, draw_quantum)
+
+
+def test_quantum_margin_matches_the_per_split_reference_bit_for_bit():
+    for block in _quantum_blocks():
+        assert np.array_equal(quantum_margin(block), quantum_margin_per_split(block))
+
+
+def test_quantum_margin_validates_one_stack_per_reduced_dimension(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.shape[-1])
+        return validate_stack(m)
+
+    monkeypatch.setattr(fuzz, "validate_stack", counting)
+    for block in _quantum_blocks():
+        reduced = set()
+        for row in block[0]:
+            axes = [int(d) for d in row if d > 1]
+            for s in range(1, len(axes)):
+                reduced |= {math.prod(axes[:s]), math.prod(axes[s:])}
+        calls.clear()
+        quantum_margin(block)
+        assert sorted(calls) == sorted(reduced)
 
 
 def test_infinite_margins_are_counted_not_minimized():

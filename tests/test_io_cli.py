@@ -356,6 +356,10 @@ _MALFORMED = [
     ("object_probability", "analyze-prob", [{"x": 1}], None, "1,1", 2, "must be numeric"),
     ("non_utf8_csv", "analyze-prob", b"\xff\xfe0.5\n0.5\n", None, "2,1", 2, "can't decode"),
     ("non_utf8_grid", "tomogram-sweep", _BELL, b"\xff\xfe[]", "2,2", 2, "grid.json: "),
+    ("one_axis_prob", "analyze-prob", "0.5\n0.5\n", None, "2", 2,
+     "a split needs at least two axes, got dims (2,)"),
+    ("one_axis_dm", "analyze-dm", {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}, None, "2", 2,
+     "a split needs at least two axes, got dims (2,)"),
 ]
 
 
@@ -380,6 +384,32 @@ def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims,
     assert got == code
     assert out == ""
     assert err.startswith("error: ") and fragment in err
+
+
+_GRID = [{"theta": 0.1, "phi": 0.2}]
+# loader -> (subcommand, dims, input name and text, grid text or None, which file is bad):
+# one malformed JSON file per loader, read next to a good one where the command takes two.
+_BAD_JSON = {
+    "probability_vector": ("analyze-prob", "2,1", "p.json", "[0.5, 0.5", None, "p.json"),
+    "density_matrix": ("tomogram-sweep", "2,1", "p.csv", "0.5\n0.5\n", json.dumps(_GRID),
+                       "p.csv"),
+    "direction_grid": ("tomogram-sweep", "2,2", "rho.json", json.dumps(_BELL), "[{",
+                       "grid.json"),
+}
+
+
+@pytest.mark.parametrize("loader", list(_BAD_JSON))
+def test_malformed_json_names_its_file(tmp_path, capsys, loader):
+    subcommand, dims, name, text, grid, bad = _BAD_JSON[loader]
+    (tmp_path / name).write_text(text)
+    argv = [subcommand, "--input", str(tmp_path / name), "--dims", dims]
+    if grid is not None:
+        (tmp_path / "grid.json").write_text(grid)
+        argv += ["--grid", str(tmp_path / "grid.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path / bad}: ")
 
 
 _OUT_ARGS = {

@@ -274,6 +274,21 @@ class TestChsh:
             oracle, _ = chsh_grid_oracle(correlation_matrix(rs, split))
             assert oracle <= value + 1e-9
 
+    def test_correlation_matrix_matches_pauli_traces_bit_for_bit(self):
+        # Tr(rho sigma_i x sigma_j) with dense Kronecker products, the leading
+        # block fast (so second in kron); real, rank-1 and diagonal states included.
+        paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+                  np.array([[1, 0], [0, -1]])]
+        rng = np.random.default_rng(19)
+        states = [random_density(rng, 4) for _ in range(40)]
+        states += [bell_state().matrix, np.eye(4) / 4, np.diag([0.1, 0.2, 0.3, 0.4])]
+        for rho in states:
+            rs, split = reshaped_22(validate(rho))
+            m = rs.base.matrix
+            expected = np.array([[np.trace(m @ np.kron(r, l)).real for r in paulis]
+                                 for l in paulis])
+            assert correlation_matrix(rs, split).tobytes() == expected.tobytes()
+
     def test_maximally_mixed_is_zero(self):
         rs, split = reshaped_22(validate(np.eye(4) / 4))
         assert abs(chsh_max(rs, split)) <= 1e-12
