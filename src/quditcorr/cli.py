@@ -110,7 +110,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tsallis_params(values, default=()) -> list[TsallisParam]:
-    return [TsallisParam(q) for q in (default if values is None else values)]
+    """One TsallisParam per q; their labels f"{q:g}" key report entries, so they must differ."""
+    qs = [TsallisParam(q) for q in (default if values is None else values)]
+    labels: dict[str, float] = {}
+    for tq in qs:
+        if (label := f"{tq.q:g}") in labels:
+            raise UsageError(f"--q {labels[label]!r} and --q {tq.q!r} share the label q={label}")
+        labels[label] = tq.q
+    return qs
+
+
+def _report(args, results, checks, qs=(), seed=None) -> Report:
+    """The report whose request echoes every parsed argument, with --q as the q values used."""
+    request = {"subcommand": args.command, **vars(args)}
+    del request["command"]
+    if "q" in request:
+        request["q"] = [tq.q for tq in qs]
+    return Report(request=request, seed=seed, results=results, checks=checks)
 
 
 def _check_total(factorization: Factorization, size: int, found: str) -> None:
@@ -179,26 +195,7 @@ def _cmd_analyze_prob(args) -> Report:
             "right_given_left": {str(a): row for a, row in enumerate(right_given_left, 1)},
         }
 
-    request = {
-        "subcommand": "analyze-prob",
-        "input": args.input,
-        "dims": list(factorization.dims),
-        "split": split.s,
-        "q": [tq.q for tq in qs],
-        "conditionals": bool(args.conditionals),
-        "out": args.out,
-    }
-    return Report(request=request, seed=None, results=results, checks=checks)
-
-
-def _quantum_checks(state, s_joint, mutual, chsh):
-    checks = [
-        check("quantum_subadditivity", mutual, QUANTUM_MUTUAL_ATOL),
-        check("entropy_within_bounds", s_joint, ENTROPY_BOUND_ATOL, high=math.log(state.dim)),
-    ]
-    if chsh is not None:
-        checks.append(check("tsirelson_bound", chsh, CHSH_ATOL, -math.inf, 2.0 * math.sqrt(2.0)))
-    return checks
+    return _report(args, results, checks, qs)
 
 
 def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, s: int):
@@ -210,9 +207,6 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
         rho_left.eigenvalues, rho_right.eigenvalues, state.eigenvalues
     )
     verdict = separability_test(reshaped, split)
-    chsh = None
-    if split.dim_left == 2 and split.dim_right == 2:
-        chsh = chsh_max(reshaped, split)
     results = {
         "units": "nats",
         "spectrum": state.eigenvalues,
@@ -225,10 +219,15 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
         "linear_entropy": _linear_entropy(rho_right.matrix),
         "separability": {"status": verdict.status, "witness_value": verdict.witness_value},
     }
-    if chsh is not None:
-        results["chsh_max"] = chsh
+    checks = [
+        check("quantum_subadditivity", mutual, QUANTUM_MUTUAL_ATOL),
+        check("entropy_within_bounds", s_joint, ENTROPY_BOUND_ATOL, high=math.log(state.dim)),
+    ]
+    if split.dim_left == 2 and split.dim_right == 2:
+        chsh = results["chsh_max"] = chsh_max(reshaped, split)
         results["bell_violated"] = bool(chsh > 2.0)
-    return results, _quantum_checks(state, s_joint, mutual, chsh)
+        checks.append(check("tsirelson_bound", chsh, CHSH_ATOL, -math.inf, 2.0 * math.sqrt(2.0)))
+    return results, checks
 
 
 def _load_state(args) -> tuple[Factorization, DensityMatrix]:
@@ -240,25 +239,13 @@ def _load_state(args) -> tuple[Factorization, DensityMatrix]:
 
 def _cmd_analyze_dm(args) -> Report:
     factorization, state = _load_state(args)
-    results, checks = _analyze_density_matrix(state, factorization, args.split)
-    request = {
-        "subcommand": "analyze-dm",
-        "input": args.input,
-        "dims": list(factorization.dims),
-        "split": args.split,
-        "out": args.out,
-    }
-    return Report(request=request, seed=None, results=results, checks=checks)
+    return _report(args, *_analyze_density_matrix(state, factorization, args.split))
 
 
 def _default_grid() -> list[Direction]:
     thetas = np.linspace(0.0, math.pi, 10)
     phis = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
     return [Direction(theta=float(t), phi=float(p)) for t in thetas for p in phis]
-
-
-def _angles(direction: Direction) -> dict:
-    return {"theta": direction.theta, "phi": direction.phi, "psi": direction.psi}
 
 
 def _cmd_tomogram_sweep(args) -> Report:
@@ -271,7 +258,7 @@ def _cmd_tomogram_sweep(args) -> Report:
     if args.out:
         payloads = (
             {
-                **_angles(r.direction),
+                **vars(r.direction),
                 "values": r.values,
                 "information": r.information,
                 "tsallis": {f"{q:g}": vars(rep_q) for q, rep_q in r.tsallis.items()},
@@ -299,18 +286,10 @@ def _cmd_tomogram_sweep(args) -> Report:
         "spin_j": rep.j,
         "n_directions": len(records),
         "min_information": min_information,
-        "min_information_direction": {"index": argmin, **_angles(records[argmin].direction)},
+        "min_information_direction": {"index": argmin, **vars(records[argmin].direction)},
         "max_normalization_error": max_error,
     }
-    request = {
-        "subcommand": "tomogram-sweep",
-        "input": args.input,
-        "dims": list(factorization.dims),
-        "grid": args.grid,
-        "q": [tq.q for tq in qs],
-        "out": args.out,
-    }
-    return Report(request=request, seed=None, results=results, checks=checks)
+    return _report(args, results, checks, qs)
 
 
 # The four-level worked example: index tables, the equal-weight superposition
@@ -359,8 +338,7 @@ def _cmd_demo_four_level(args) -> Report:
         check("chsh_max_equals_2sqrt2", chsh, CHSH_ATOL, tsirelson, tsirelson),
         CheckRecord("bell_inequality_violated", chsh, bool(chsh > 2.0), 0.0),
     ]
-    request = {"subcommand": "demo-four-level", "out": args.out}
-    return Report(request=request, seed=0, results=results, checks=checks)
+    return _report(args, results, checks, seed=0)
 
 
 def _cmd_fuzz(args) -> Report:
@@ -387,14 +365,7 @@ def _cmd_fuzz(args) -> Report:
         "infinite_values_skipped": infinities,
         "product_mutual_abs_max": product_max,
     }
-    request = {
-        "subcommand": "fuzz",
-        "seed": args.seed,
-        "count": args.count,
-        "q": [tq.q for tq in qs],
-        "out": args.out,
-    }
-    return Report(request=request, seed=args.seed, results=results, checks=checks)
+    return _report(args, results, checks, qs, seed=args.seed)
 
 
 _HANDLERS = {
@@ -412,10 +383,9 @@ def main(argv=None) -> int:
     try:
         report = _HANDLERS[args.command](args)
         text = report.render()
-        out = getattr(args, "out", None)
-        if out and args.command != "tomogram-sweep":
+        if args.out and args.command != "tomogram-sweep":
             # tomogram-sweep already used --out for its per-direction records.
-            Path(out).write_text(text)
+            Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
     except (QuditCorrError, OSError) as exc:

@@ -13,6 +13,7 @@ import numpy as np
 
 from ._kernels import relative_shannon, relative_tsallis, shannon, split_entropies
 from .classical import probability_rows
+from .errors import DomainError
 from .partition import Factorization
 from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, validate_stack
 from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions, zx_distributions
@@ -152,7 +153,8 @@ def blocks(rng, count: int, draw):
 
 def run_families(rng, count: int, table: list[Family]):
     """Per family, the minimum finite margin and the number of infinite ones
-    over `count` samples; then max |I| over `count` product distributions."""
+    over `count` samples; then max |I| over `count` product distributions.
+    A NaN margin raises DomainError."""
     margins: dict[str, float] = {}
     infinities: dict[str, int] = {}
     for draw in dict.fromkeys(family.draw for family in table):
@@ -164,6 +166,9 @@ def run_families(rng, count: int, table: list[Family]):
                     infinities[family.name] = infinities.get(family.name, 0) + int(infinite.sum())
                 if not infinite.all():
                     low = float(values[~infinite].min())
+                    if math.isnan(low):  # NaN is neither counted nor minimized
+                        raise DomainError(f"{family.name}: {int(np.isnan(values).sum())} of "
+                                          f"{values.size} margins in a block are NaN")
                     margins[family.name] = min(margins.get(family.name, math.inf), low)
     products = blocks(rng, count, draw_products)
     return margins, infinities, max(float(product_mutual_abs(b).max()) for b in products)

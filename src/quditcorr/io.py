@@ -59,13 +59,13 @@ def load_density_matrix(path) -> DensityMatrix:
     try:
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-        declared = None if data.get("dim") is None else int(data["dim"])
-    except (TypeError, ValueError) as exc:
+        declared = None if data.get("dim") is None else float(data["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: 'dim', 're' and 'im' must be numeric: {exc}") from None
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise UsageError(f"{path}: 're' and 'im' must be matching square matrices")
-    if declared is not None and declared != re.shape[0]:
-        raise UsageError(f"{path}: declared dim {declared} != matrix dimension {re.shape[0]}")
+    if declared is not None and declared != re.shape[0]:  # a fractional dim never matches
+        raise UsageError(f"{path}: declared dim {data['dim']} != matrix dimension {re.shape[0]}")
     return validate(re + 1.0j * im)
 
 

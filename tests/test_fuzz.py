@@ -11,6 +11,7 @@ from helpers import quantum_margin_per_split, random_density
 from quditcorr import (
     DensityMatrix,
     Direction,
+    DomainError,
     Factorization,
     JointView,
     NotHermitian,
@@ -203,6 +204,13 @@ def test_infinite_margins_are_counted_not_minimized():
     margins, infinities, _ = run_families(np.random.default_rng(0), 4, table)
     assert margins == {"flagged": 1.0}
     assert infinities == {"flagged": 2, "all_infinite": 2}
+
+
+def test_nan_margin_raises_naming_family_and_count():
+    table = [Family("half_nan", lambda rng, size: None,
+                    lambda block: np.array([0.1, np.nan, 0.2]), 0.0)]
+    with pytest.raises(DomainError, match=r"^half_nan: 1 of 3 margins in a block are NaN$"):
+        run_families(np.random.default_rng(0), 3, table)
 
 
 def _raises_like(scalar, stacked):

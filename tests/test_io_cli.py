@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -14,7 +15,7 @@ from quditcorr import (
     spin_rep,
     validate,
 )
-from quditcorr.cli import main
+from quditcorr.cli import build_parser, main
 from quditcorr.io import (
     load_density_matrix,
     load_direction_grid,
@@ -336,9 +337,9 @@ def _nan_diagonal_4x4():
 
 
 _BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
-# (name, subcommand and extra flags, input (str or bytes is written as CSV, anything else
-# as JSON), grid (bytes are written raw, anything else as JSON) or None, dims, exit code,
-# message fragment)
+# (name, subcommand and extra flags, input (str or bytes is written as CSV, None passes no
+# --input or --dims, anything else is written as JSON), grid (bytes are written raw, anything
+# else as JSON) or None, dims, exit code, message fragment)
 _MALFORMED = [
     ("all_nan_2x2", "analyze-dm", {"dim": 2, "re": [[math.nan] * 2] * 2}, None, "2,1", 2,
      "rho^dagger"),
@@ -360,6 +361,16 @@ _MALFORMED = [
      "a split needs at least two axes, got dims (2,)"),
     ("one_axis_dm", "analyze-dm", {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}, None, "2", 2,
      "a split needs at least two axes, got dims (2,)"),
+    ("fractional_dim", "analyze-dm", {"dim": 4.5, "re": (np.eye(4) / 4).tolist()}, None, "2,2",
+     2, "declared dim 4.5 != matrix dimension 4"),
+    ("huge_int_dim", "analyze-dm", {"dim": 10**400, "re": [[1.0]]}, None, "1,1", 2,
+     "int too large to convert to float"),
+    ("colliding_q_labels", "analyze-prob --q 2 --q 2.0000001", [0.25] * 4, None, "2,2", 2,
+     "--q 2.0 and --q 2.0000001 share the label q=2"),
+    ("repeated_q_fuzz", "fuzz --count 1 --q 2 --q 2", None, None, None, 2,
+     "--q 2.0 and --q 2.0 share the label q=2"),
+    ("repeated_q_sweep", "tomogram-sweep --q 3 --q 3", _BELL, None, "2,2", 2,
+     "--q 3.0 and --q 3.0 share the label q=3"),
 ]
 
 
@@ -369,13 +380,15 @@ _MALFORMED = [
     ids=[row[0] for row in _MALFORMED],
 )
 def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims, code, fragment):
-    if isinstance(state, (str, bytes)):
-        state_path = tmp_path / "p.csv"
-        state_path.write_bytes(state if isinstance(state, bytes) else state.encode())
-    else:
-        state_path = tmp_path / "input.json"
-        state_path.write_text(json.dumps(state))  # json writes NaN and -Infinity bare
-    argv = [*subcommand.split(), "--input", str(state_path), "--dims", dims]
+    argv = subcommand.split()
+    if state is not None:
+        if isinstance(state, (str, bytes)):
+            state_path = tmp_path / "p.csv"
+            state_path.write_bytes(state if isinstance(state, bytes) else state.encode())
+        else:
+            state_path = tmp_path / "input.json"
+            state_path.write_text(json.dumps(state))  # json writes NaN and -Infinity bare
+        argv += ["--input", str(state_path), "--dims", dims]
     if grid is not None:
         grid_path = tmp_path / "grid.json"
         grid_path.write_bytes(grid if isinstance(grid, bytes) else json.dumps(grid).encode())
@@ -433,6 +446,42 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: ") and str(out_path) in err
 
 
+# subcommand -> (arguments, the q values it uses); paths are made absolute under tmp_path.
+_ECHO = {
+    "analyze-prob": (["--input", "p.json", "--dims", "2,2", "--q", "2", "--q", "0.5",
+                      "--conditionals"], [2.0, 0.5]),
+    "analyze-dm": (["--input", "rho.json", "--dims", "2,2", "--split", "1"], None),
+    "tomogram-sweep": (["--input", "rho.json", "--dims", "2,2", "--grid", "grid.json",
+                        "--out", "records.jsonl"], []),
+    "demo-four-level": ([], None),
+    "fuzz": (["--seed", "4", "--count", "2"], [1.5, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("command", list(_ECHO))
+def test_request_echoes_every_parsed_argument(tmp_path, capsys, command):
+    flags, qs = _ECHO[command]
+    (tmp_path / "p.json").write_text(json.dumps([0.25] * 4))
+    (tmp_path / "rho.json").write_text(json.dumps(_BELL))
+    (tmp_path / "grid.json").write_text(json.dumps(_GRID))
+    argv = [command, *(str(tmp_path / a) if a.endswith((".json", ".jsonl")) else a for a in flags)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    request = json.loads(out)["request"]
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices[command]._actions
+             if a.default is not argparse.SUPPRESS}
+    assert request.keys() == {"subcommand"} | dests
+    assert request.pop("subcommand") == command
+    parsed = vars(parser.parse_args(argv))
+    expected = {dest: jsonable(parsed[dest]) for dest in dests}
+    if qs is not None:
+        expected["q"] = qs
+    assert request == expected
+
+
 class TestDemoAndFuzz:
     def test_demo_checks_hold(self, capsys):
         code, out, _ = run_cli(capsys, "demo-four-level")
@@ -470,6 +519,13 @@ class TestDemoAndFuzz:
             "classical_product_mutual_abs_max",
         } <= names
         assert report["seed"] == 1
+
+    def test_fuzz_nan_margins_exit_2(self, capsys):
+        # p**q underflows to 0 and r**(1 - q) overflows, so every Tsallis margin is NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(capsys, "fuzz", "--count", "300", "--q", "1e300")
+        assert code == 2 and out == ""
+        assert err == "error: qutrit_tsallis_q=1e+300: 256 of 256 margins in a block are NaN\n"
 
     def test_fuzz_bad_count_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "fuzz", "--count", "0")

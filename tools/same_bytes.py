@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-32 commands and their inputs (drawn with numpy from a fixed seed) into one
+35 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/32 identical", and exits 1 on any mismatch.
+then "k/35 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -75,7 +75,7 @@ def _probabilities(rng, n: int) -> np.ndarray:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 32 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 35 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -127,6 +127,11 @@ def write_corpus(tmp: Path) -> list:
                                         in zip(theta.tolist(), phi.tolist(), psi_angle.tolist())]))
             argv += ["--grid", str(path)]
         commands.append((argv, out))
+
+    # Every optional flag left at its default, so the request echoes the defaults.
+    commands += [(["analyze-prob", "--input", str(tmp / "p_2.csv"), "--dims", "2,3,2"], None),
+                 (["analyze-dm", "--input", str(tmp / "dm_5.json"), "--dims", "4,4,4"], None),
+                 (["tomogram-sweep", "--input", str(tmp / "spin_16.json"), "--dims", "4,4"], None)]
     return commands
 
 
