@@ -15,10 +15,10 @@ from ._kernels import relative_shannon, relative_tsallis, shannon, split_entropi
 from .classical import probability_rows
 from .errors import DomainError
 from .partition import Factorization
-from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, validate_stack
+from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, certify_stack, validate_stack
 from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions, zx_distributions
-from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, random_directions
-from .sampling import random_factorizations
+from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, ginibre_states
+from .sampling import random_directions, random_factorizations
 from .tolerances import QUANTUM_MUTUAL_ATOL, SUBADDITIVITY_ATOL
 from .tomography import marginal_pair, spin_rep, tomogram_diagonals, tomogram_values
 
@@ -110,16 +110,16 @@ def quantum_margin(block):
 def draw_qubits(rng, size):
     """(p, states): Bloch-ball probabilities and their checked 2x2 matrices."""
     p = bloch_ball_stack(rng, size)
-    return p, validate_stack(qubit_matrices(p))[0]
+    return p, certify_stack(qubit_matrices(p))
 
 
 def draw_qutrits(rng, size):
-    return ginibre_densities(rng, size, 3)[0]
+    return ginibre_states(rng, size, 3)
 
 
 def draw_tomographic(rng, size):
     """(states, theta, phi): checked spin-3/2 Ginibre states and directions."""
-    return (ginibre_densities(rng, size, 4)[0], *random_directions(rng, size))
+    return (ginibre_states(rng, size, 4), *random_directions(rng, size))
 
 
 def tomographic_margin(block):

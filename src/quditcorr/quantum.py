@@ -33,9 +33,9 @@ _T_PHASES = np.take_along_axis(_T_KRONS, _T_ROWS[:, None], axis=1)[:, 0]
 _PPT_DECISIVE = {(2, 2), (2, 3), (3, 2)}
 
 
-def validate_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check that each (..., N, N) matrix is Hermitian, of unit trace and PSD
-    (every check also fails on NaN); return the Hermitian parts and spectra."""
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """Check that each (..., N, N) matrix is Hermitian and of unit trace (both
+    checks also fail on NaN); return the Hermitian parts."""
     adjoint = np.conj(np.swapaxes(m, -1, -2))
     herm_gap = float(np.abs(m - adjoint).max())
     if not herm_gap <= HERMITIAN_ATOL:
@@ -43,12 +43,41 @@ def validate_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trace_gap = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if not trace_gap <= TRACE_ATOL:
         raise TraceNotOne(f"|Tr rho - 1| = {trace_gap:.3e} exceeds {TRACE_ATOL:.0e}")
-    sym = (m + adjoint) / 2.0
+    return (m + adjoint) / 2.0
+
+
+def _psd_spectra(sym: np.ndarray) -> np.ndarray:
+    """Spectra of Hermitian matrices, checked against the -PSD_ATOL floor."""
     eigenvalues = np.linalg.eigvalsh(sym)
     low = float(eigenvalues.min())
     if not low >= -PSD_ATOL:
         raise NotPSD(f"min eigenvalue = {low:.3e} below -{PSD_ATOL:.0e}")
-    return sym, eigenvalues
+    return eigenvalues
+
+
+def validate_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check that each (..., N, N) matrix is Hermitian, of unit trace and PSD
+    (every check also fails on NaN); return the Hermitian parts and spectra."""
+    sym = _hermitian_part(m)
+    return sym, _psd_spectra(sym)
+
+
+def certify_stack(m: np.ndarray) -> np.ndarray:
+    """validate_stack(m)[0], for callers that drop the spectra.
+
+    One stacked Cholesky factorization certifies that every row is positive
+    definite.  It is backward stable, so a certified unit-trace row has no
+    eigenvalue below about -N * 1e-16, far above -PSD_ATOL, and the eigenvalue
+    check would accept it too.  Only when the factorization fails (a singular
+    row, one in the [-PSD_ATOL, 0] slack, or a bad one) does that check run,
+    so every refusal and its message are validate_stack's.
+    """
+    sym = _hermitian_part(m)
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        _psd_spectra(sym)
+    return sym
 
 
 class DensityMatrix:

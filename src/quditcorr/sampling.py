@@ -10,7 +10,7 @@ import numpy as np
 
 from .classical import ProbabilityVector, probability_rows
 from .partition import Factorization
-from .quantum import DensityMatrix, validate_stack
+from .quantum import DensityMatrix, certify_stack, validate_stack
 from .qubit_qutrit import QubitProbabilities, bloch_probabilities
 from .tomography import Direction, check_angles
 
@@ -54,7 +54,9 @@ def random_factorization(
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple, dim: int, rank: int) -> np.ndarray:
-    g = rng.standard_normal((*shape, dim, rank)) + 1.0j * rng.standard_normal((*shape, dim, rank))
+    g = np.empty((*shape, dim, rank), dtype=complex)
+    g.real = rng.standard_normal(g.shape)
+    g.imag = rng.standard_normal(g.shape)
     m = g @ np.swapaxes(g.conj(), -1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
 
@@ -67,6 +69,11 @@ def ginibre_density(rng: np.random.Generator, dim: int, rank: int | None = None)
 def ginibre_densities(rng: np.random.Generator, count: int, dim: int):
     """A stack of `count` checked full-rank Ginibre states and their spectra."""
     return validate_stack(_ginibre(rng, (count,), dim, dim))
+
+
+def ginibre_states(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """The states of ginibre_densities, certified without taking their spectra."""
+    return certify_stack(_ginibre(rng, (count,), dim, dim))
 
 
 def bloch_ball_stack(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -42,6 +42,9 @@ from quditcorr.fuzz import (
     blocks,
     draw_products,
     draw_quantum,
+    draw_qubits,
+    draw_qutrits,
+    draw_tomographic,
     family_table,
     product_mutual_abs,
     quantum_margin,
@@ -49,7 +52,9 @@ from quditcorr.fuzz import (
     tomographic_margin,
 )
 from quditcorr.qubit_qutrit import bloch_probabilities
-from quditcorr.quantum import validate_stack
+from quditcorr.quantum import certify_stack, validate_stack
+from quditcorr.sampling import _ginibre
+from quditcorr.tolerances import PSD_ATOL
 from quditcorr.tomography import check_angles
 
 QS = [TsallisParam(q) for q in (0.5, 1.5, 2.0, 3.0)]
@@ -241,7 +246,74 @@ def test_bad_state_in_stack_raises_like_density_matrix(case):
     bad, error = _BAD_STATES[case]
     with pytest.raises(error):
         DensityMatrix(bad)
-    _raises_like(lambda: DensityMatrix(bad), lambda: validate_stack(_with_row(_STATES, bad)))
+    for check in (validate_stack, certify_stack):
+        _raises_like(lambda: DensityMatrix(bad), lambda: check(_with_row(_STATES, bad)))
+
+
+def _rotated(eigenvalues):
+    """A non-diagonal 3x3 matrix with the given spectrum."""
+    u = np.linalg.qr(random_density(np.random.default_rng(9), 3))[0]
+    return u @ np.diag(eigenvalues) @ u.conj().T
+
+
+def _pure(*amplitudes):
+    v = np.array(amplitudes, dtype=complex)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+# A stack the Cholesky certificate accepts as drawn, a pure row it accepts on
+# rounding noise, then rows where it fails and the eigenvalue check decides, with
+# the error that check must raise: pure and singular rows, slack inside the
+# -PSD_ATOL floor and rows just either side of it.
+_EDGE_STATES = {
+    "none": (None, None),
+    "pure_certified": (_pure(0.6, 0.3j - 0.2, 0.5 + 0.1j), None),
+    "pure": (_pure(0.5, 0.5j, 0.5j - 0.5), None),
+    "singular": (np.diag([0.5, 0.5, 0.0]), None),
+    "slack": (_rotated([0.6, 0.4 + 1e-11, -1e-11]), None),
+    "inside_floor": (_rotated([0.6, 0.4 + 0.999 * PSD_ATOL, -0.999 * PSD_ATOL]), None),
+    "below_floor": (_rotated([0.6, 0.4 + 1.001 * PSD_ATOL, -1.001 * PSD_ATOL]), NotPSD),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_STATES))
+def test_certify_stack_decides_like_validate_stack(case):
+    row, error = _EDGE_STATES[case]
+    stack = _STATES if row is None else _with_row(_STATES, row)
+    if error is not None:
+        with pytest.raises(error):
+            validate_stack(stack)
+        _raises_like(lambda: validate_stack(stack), lambda: certify_stack(stack))
+    else:
+        expected, got = validate_stack(stack)[0], certify_stack(stack)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_spectrum_free_draws_take_no_spectra(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for draw in (draw_qubits, draw_qutrits, draw_tomographic):
+        draw(np.random.default_rng(1), BLOCK)
+    assert calls == []
+    certify_stack(_with_row(_STATES, np.diag([0.5, 0.5, 0.0])))
+    assert calls == [_STATES.shape]
+
+
+def test_ginibre_fills_the_stream_of_real_then_imaginary_parts():
+    rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+    shape = (5, 4, 3)
+    g = reference.standard_normal(shape) + 1j * reference.standard_normal(shape)
+    m = g @ np.swapaxes(g.conj(), -1, -2)
+    expected = m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    assert _ginibre(rng, (5,), 4, 3).tobytes() == expected.tobytes()
+    assert rng.standard_normal() == reference.standard_normal()
 
 
 _PROBS = np.random.default_rng(3).dirichlet(np.ones(4), size=5)

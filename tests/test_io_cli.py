@@ -17,6 +17,7 @@ from quditcorr import (
 )
 from quditcorr.cli import build_parser, main
 from quditcorr.io import (
+    density_matrix_payload,
     load_density_matrix,
     load_direction_grid,
     load_probability_vector,
@@ -65,6 +66,24 @@ class TestIo:
         write_density_matrix(state, path)
         loaded = load_density_matrix(path)
         np.testing.assert_array_equal(loaded.matrix, state.matrix)
+
+    def test_writer_bytes_match_the_indented_json_encoder(self, tmp_path):
+        rng = np.random.default_rng(41)
+        states = []
+        for n in (1, 2, 3, 4, 16, 64, 256):
+            for rank in (1, n):
+                g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+                m = g @ g.conj().T
+                states.append(validate(m / np.trace(m)))
+        diagonal = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        diagonal.imag[0, 1] = diagonal.imag[1, 2] = -0.0  # survive as -0.0 in the Hermitian part
+        states.append(validate(diagonal))
+        assert np.signbit(states[-1].matrix.imag).sum() == 2
+        path = tmp_path / "rho.json"
+        for state in states:
+            write_density_matrix(state, path)
+            expected = json.dumps(density_matrix_payload(state), indent=2, sort_keys=True) + "\n"
+            assert path.read_text() == expected
 
     def test_density_matrix_imaginary_optional(self, tmp_path):
         path = tmp_path / "rho.json"
@@ -365,6 +384,21 @@ _MALFORMED = [
      2, "declared dim 4.5 != matrix dimension 4"),
     ("huge_int_dim", "analyze-dm", {"dim": 10**400, "re": [[1.0]]}, None, "1,1", 2,
      "int too large to convert to float"),
+    ("huge_int_probability", "analyze-prob", [10**400, 0, 0, 0], None, "2,2", 2,
+     "input.json: probabilities must be numeric: int too large to convert to float"),
+    ("huge_int_theta", "tomogram-sweep", _BELL, [{"theta": 10**400, "phi": 0.1}], "2,2", 2,
+     "grid.json: entry 0 has a non-numeric angle: int too large to convert to float"),
+    ("huge_int_psi", "tomogram-sweep", _BELL, [{"theta": 0.1, "phi": 0.2, "psi": -10**400}],
+     "2,2", 2, "grid.json: entry 0 has a non-numeric angle: int too large to convert to float"),
+    ("boolean_probability", "analyze-prob", [True, False, False, False], None, "2,2", 2,
+     "input.json: probabilities must be numeric: true and false are not numbers"),
+    ("boolean_matrix", "analyze-dm",
+     {"dim": 2, "re": [[True, False], [False, False]], "im": [[0, 0], [0, 0]]}, None, "2,1", 2,
+     "input.json: 'dim', 're' and 'im' must be numeric: true and false are not numbers"),
+    ("boolean_dim", "analyze-dm", {"dim": True, "re": [[1.0]]}, None, "1,1", 2,
+     "input.json: 'dim', 're' and 'im' must be numeric: true and false are not numbers"),
+    ("boolean_angle", "tomogram-sweep", _BELL, [{"theta": True, "phi": False}], "2,2", 2,
+     "grid.json: entry 0 has a non-numeric angle: true and false are not numbers"),
     ("colliding_q_labels", "analyze-prob --q 2 --q 2.0000001", [0.25] * 4, None, "2,2", 2,
      "--q 2.0 and --q 2.0000001 share the label q=2"),
     ("repeated_q_fuzz", "fuzz --count 1 --q 2 --q 2", None, None, None, 2,

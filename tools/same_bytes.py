@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-35 commands and their inputs (drawn with numpy from a fixed seed) into one
+36 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/35 identical", and exits 1 on any mismatch.
+then "k/36 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -75,12 +75,13 @@ def _probabilities(rng, n: int) -> np.ndarray:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 35 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 36 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
                 (["fuzz", "--seed", "3", "--count", "1"], None),  # one-sample blocks
-                (["fuzz", "--seed", "5", "--count", "257", "--q", "2"], None)]  # 1-sample tail
+                (["fuzz", "--seed", "5", "--count", "257", "--q", "2"], None),  # 1-sample tail
+                (["fuzz", "--seed", "11", "--count", "3000"], None)]  # 12 blocks, 184-sample tail
     out = str(tmp / "fuzz_7919.json")
     commands.append((["fuzz", "--seed", "7919", "--out", out], out))
 
