@@ -69,7 +69,7 @@ from .qubit_qutrit import (
 from .tomography import (
     Direction,
     SpinRep,
-    SweepRecord,
+    Sweep,
     TomogramTable,
     TsallisTomogramReport,
     direction_sweep,

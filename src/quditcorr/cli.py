@@ -54,7 +54,7 @@ from .tolerances import (
     SUBADDITIVITY_ATOL,
     TOMOGRAM_SUM_ATOL,
 )
-from .tomography import Direction, direction_sweep, spin_rep
+from .tomography import Direction, direction_sweep, spin_rep, tsallis_reports
 
 
 def _dims_arg(text: str) -> tuple[int, ...]:
@@ -253,40 +253,43 @@ def _cmd_tomogram_sweep(args) -> Report:
     rep = spin_rep((state.dim - 1) / 2.0)
     grid = load_direction_grid(args.grid) if args.grid else _default_grid()
     qs = _tsallis_params(args.q)
-    records = direction_sweep(state, rep, factorization, grid, qs)
+    sweep = direction_sweep(state, rep, factorization, grid, qs)
 
     if args.out:
+        reports = {f"{q:g}": tsallis_reports(table) for q, table in sweep.tsallis.items()}
+        rows = zip(sweep.directions, sweep.values.tolist(), sweep.information.tolist(),
+                   sweep.normalization_error.tolist())
         payloads = (
             {
-                **vars(r.direction),
-                "values": r.values,
-                "information": r.information,
-                "tsallis": {f"{q:g}": vars(rep_q) for q, rep_q in r.tsallis.items()},
-                "normalization_error": r.normalization_error,
+                **vars(direction),
+                "values": values,
+                "information": information,
+                "tsallis": {q: vars(column[k]) for q, column in reports.items()},
+                "normalization_error": error,
             }
-            for r in records
+            for k, (direction, values, information, error) in enumerate(rows)
         )
         Path(args.out).write_text("".join(json_line(p) + "\n" for p in payloads))
 
-    argmin = min(range(len(records)), key=lambda k: records[k].information)
-    min_information = records[argmin].information
-    max_error = max(r.normalization_error for r in records)
+    argmin = int(sweep.information.argmin())
+    min_information = float(sweep.information[argmin])
+    max_error = float(sweep.normalization_error.max())
     checks = [
         check("tomographic_information_min", min_information, SUBADDITIVITY_ATOL),
         check("tomogram_normalization_max_error", max_error, TOMOGRAM_SUM_ATOL, -math.inf, 0.0),
     ]
     for tq in qs:
         if tq.q > 1.0:
-            margin = min(t.s_q1 + t.s_q2 - t.s_q for t in (r.tsallis[tq.q] for r in records))
+            margin = float(sweep.tsallis[tq.q][3].min())
             checks.append(
                 check(f"tomographic_tsallis_min_margin_q={tq.q:g}", margin, SUBADDITIVITY_ATOL)
             )
     results = {
         "units": "nats",
         "spin_j": rep.j,
-        "n_directions": len(records),
+        "n_directions": len(sweep.directions),
         "min_information": min_information,
-        "min_information_direction": {"index": argmin, **vars(records[argmin].direction)},
+        "min_information_direction": {"index": argmin, **vars(sweep.directions[argmin])},
         "max_normalization_error": max_error,
     }
     return _report(args, results, checks, qs)

@@ -19,10 +19,11 @@ from .tomography import Direction
 
 
 def _read(path: Path, parse=str):
-    """parse(text of the UTF-8 file); a decoding error names the file."""
+    """parse(text of the UTF-8 file); a decoding error, or JSON nested deeper than the
+    parser recurses, names the file."""
     try:
         return parse(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -32,34 +33,36 @@ def _read_json(path: Path):
     return _read(path, lambda text: (json.loads(text), "t" in text or "f" in text))
 
 
-def _refuse_booleans(value) -> None:
-    """Raise TypeError if `value` is a JSON true or false, or a list nesting
-    one: numpy and float() would read it as 1 or 0."""
-    if value is True or value is False:
-        raise TypeError("true and false are not numbers")
-    if isinstance(value, list):
-        for v in value:
-            _refuse_booleans(v)
-
-
-def _real(value) -> float:
-    """float(value), refusing a JSON true or false."""
-    _refuse_booleans(value)
-    return float(value)
+def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.ndarray:
+    """`value`, parsed from the JSON file `path`, as a float array (of `shape` if given);
+    anything else raises UsageError(f"{path}: {what}: {cause}"). numpy would read a JSON
+    true, false or string as 1, 0 or the number it spells, so they are looked for: true
+    and false if the text may hold one, strings if numpy reads text or objects."""
+    try:
+        array = np.array(value)
+        stack = [value] if booleans or array.dtype.kind in "OU" else []
+        while stack:  # an explicit stack copes with any depth the parser accepts
+            item = stack.pop()
+            if isinstance(item, list):
+                stack.extend(item)
+            elif item is True or item is False:
+                raise TypeError("true and false are not numbers")
+            elif isinstance(item, str):
+                raise TypeError("strings are not numbers")
+        if shape is not None and array.shape != shape:
+            raise TypeError(f"expected shape {shape}, got {array.shape}")
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{path}: {what}: {exc}") from None
 
 
 def load_probability_vector(path) -> ProbabilityVector:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        data, may_hold_booleans = _read_json(path)
+        data, booleans = _read_json(path)
         if not isinstance(data, list):
             raise UsageError(f"{path}: expected a JSON array of probabilities")
-        try:
-            if may_hold_booleans:
-                _refuse_booleans(data)
-            values = np.array(data, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"{path}: probabilities must be numeric: {exc}") from None
+        values = _numbers(path, data, "probabilities must be numeric", booleans)
     else:
         values = []
         for line_number, line in enumerate(_read(path).splitlines(), 1):
@@ -77,17 +80,13 @@ def load_probability_vector(path) -> ProbabilityVector:
 
 def load_density_matrix(path) -> DensityMatrix:
     path = Path(path)
-    data, may_hold_booleans = _read_json(path)
+    data, booleans = _read_json(path)
     if not isinstance(data, dict) or "re" not in data:
         raise UsageError(f"{path}: expected an object with 'dim' and 're'/'im' arrays")
-    try:
-        if may_hold_booleans:
-            _refuse_booleans([data["re"], data.get("im")])
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-        declared = None if data.get("dim") is None else _real(data["dim"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{path}: 'dim', 're' and 'im' must be numeric: {exc}") from None
+    what = "'dim', 're' and 'im' must be numeric"
+    re = _numbers(path, data["re"], what, booleans)
+    im = _numbers(path, data["im"], what, booleans) if "im" in data else np.zeros_like(re)
+    declared = None if data.get("dim") is None else _numbers(path, data["dim"], what, booleans, ())
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise UsageError(f"{path}: 're' and 'im' must be matching square matrices")
     if declared is not None and declared != re.shape[0]:  # a fractional dim never matches
@@ -121,17 +120,14 @@ def write_density_matrix(state: DensityMatrix, path) -> None:
 
 def load_direction_grid(path) -> list[Direction]:
     path = Path(path)
-    data = _read(path, json.loads)
+    data, booleans = _read_json(path)
     if not isinstance(data, list) or not data:
         raise UsageError(f"{path}: expected a nonempty JSON array of directions")
     grid = []
     for k, entry in enumerate(data):
         if not isinstance(entry, dict) or "theta" not in entry or "phi" not in entry:
             raise UsageError(f"{path}: entry {k} must carry 'theta' and 'phi'")
-        try:
-            theta, phi = _real(entry["theta"]), _real(entry["phi"])
-            psi = _real(entry.get("psi", 0.0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"{path}: entry {k} has a non-numeric angle: {exc}") from None
-        grid.append(Direction(theta=theta, phi=phi, psi=psi))
+        angles = [entry["theta"], entry["phi"], entry.get("psi", 0.0)]
+        what = f"entry {k} has a non-numeric angle"
+        grid.append(Direction(*_numbers(path, angles, what, booleans, (3,))))
     return grid

@@ -14,6 +14,7 @@ is a one-variable distribution that the partition machinery can analyze.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,9 +238,8 @@ class TsallisTomogramReport:
     subadditivity_holds: bool
 
 
-def _tsallis_reports(first, second, values, q: float) -> list[TsallisTomogramReport]:
-    """One report per row of (..., N) marginals and tables."""
-    table = np.reshape(_kernels.split_entropies(first, second, values, q), (4, -1))
+def tsallis_reports(table: np.ndarray) -> list[TsallisTomogramReport]:
+    """One report per column of a (4, n) table of S_q1, S_q2, S_q and the margin."""
     holds = table[3] >= -SUBADDITIVITY_ATOL
     return [TsallisTomogramReport(*row) for row in zip(*table[:3].tolist(), holds.tolist())]
 
@@ -249,7 +249,9 @@ def tomographic_tsallis_report(
 ) -> TsallisTomogramReport:
     """Tsallis entropies of the two tomographic marginals and the joint,
     with the subadditivity verdict S_q1 + S_q2 >= S_q."""
-    return _tsallis_reports(*marginal_pair(table.values, factorization), table.values, tq.q)[0]
+    values = table.values
+    entropies = _kernels.split_entropies(*marginal_pair(values, factorization), values, tq.q)
+    return tsallis_reports(np.reshape(entropies, (4, 1)))[0]
 
 
 def tomographic_tsallis_relative(
@@ -276,13 +278,14 @@ def mutual_tomographic_information(table: TomogramTable, factorization: Factoriz
     return _kernels.split_entropies(*marginal_pair(table.values, factorization), table.values)[3]
 
 
-@dataclass(frozen=True, eq=False)
-class SweepRecord:
-    direction: Direction
-    values: tuple[float, ...]
-    information: float
-    tsallis: dict[float, TsallisTomogramReport]
-    normalization_error: float
+class Sweep(NamedTuple):
+    """Tomographic diagnostics over a direction grid, indexed by direction in grid order."""
+
+    directions: list[Direction]
+    values: np.ndarray  # (n, N) tables
+    normalization_error: np.ndarray  # (n,)
+    information: np.ndarray  # (n,) mutual tomographic information
+    tsallis: dict[float, np.ndarray]  # q -> (4, n): S_q1, S_q2, S_q and the margin
 
 
 def direction_sweep(
@@ -291,12 +294,11 @@ def direction_sweep(
     factorization: Factorization,
     grid,
     qs=(),
-) -> list[SweepRecord]:
+) -> Sweep:
     """Evaluate the tomographic diagnostics over a direction grid.
 
-    One record per direction, in grid order.  The state is checked once, the
-    kernel runs one direction at a time, and the table checks, marginals and
-    entropies run once, over the stack.
+    The state is checked once, the kernel runs one direction at a time, and the
+    table checks, marginals and entropies run once, over the stack.
     """
     directions = list(grid)
     if not directions:
@@ -306,16 +308,6 @@ def direction_sweep(
     diagonals = np.array([tomogram_diagonals(rep, d.theta, d.phi, rho) for d in directions])
     values, errors = tomogram_values(diagonals, rho)
     first, second = marginal_pair(values, factorization)
-    information = _kernels.split_entropies(first, second, values)[3].tolist()
-    tsallis = {tq.q: _tsallis_reports(first, second, values, tq.q) for tq in qs}
-    rows = zip(directions, values.tolist(), errors.tolist())
-    return [
-        SweepRecord(
-            direction=direction,
-            values=tuple(row),
-            information=information[k],
-            tsallis={q: reports[k] for q, reports in tsallis.items()},
-            normalization_error=error,
-        )
-        for k, (direction, row, error) in enumerate(rows)
-    ]
+    entropies = {tq.q: np.array(_kernels.split_entropies(first, second, values, tq.q)) for tq in qs}
+    information = _kernels.split_entropies(first, second, values)[3]
+    return Sweep(directions, values, errors, information, entropies)

@@ -11,8 +11,10 @@ from quditcorr import (
     Factorization,
     TsallisParam,
     UsageError,
-    direction_sweep,
+    mutual_tomographic_information,
     spin_rep,
+    tomogram,
+    tomographic_tsallis_report,
     validate,
 )
 from quditcorr.cli import build_parser, main
@@ -56,6 +58,18 @@ class TestIo:
         path.write_text("0.5\nnope\n")
         with pytest.raises(UsageError, match="p.csv:2"):
             load_probability_vector(path)
+
+    @pytest.mark.parametrize("depth", [60, 900, 100_000])
+    def test_deeply_nested_false_names_the_file(self, tmp_path, depth):
+        # Within numpy's 64 axes the walk finds the false; deeper, numpy or the parser
+        # refuses the nesting. No depth escapes as a RecursionError.
+        path = tmp_path / "p.json"
+        path.write_text("[" * depth + "false" + "]" * depth)
+        with pytest.raises(UsageError) as refused:
+            load_probability_vector(path)
+        assert str(refused.value).startswith(f"{path}: ")
+        if depth == 60:
+            assert str(refused.value).endswith("must be numeric: true and false are not numbers")
 
     def test_density_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(40)
@@ -294,8 +308,9 @@ class TestTomogramSweep:
         assert err.startswith("error: ") and angle in err
 
     def test_records_and_tsallis_check_match_the_sweep(self, tmp_path, capsys):
-        # Each line is what json.dumps(jsonable(record), sort_keys=True) writes, and the
-        # q = 2 check holds the least S_q1 + S_q2 - S_q over the records.
+        # Each line is what json.dumps(jsonable(record), sort_keys=True) writes for the
+        # scalar path's record of its direction, and the q = 2 check holds the least
+        # S_q1 + S_q2 - S_q over those records.
         state = validate(random_density(np.random.default_rng(41), 6))
         rho_path = tmp_path / "rho.json"
         write_density_matrix(state, rho_path)
@@ -308,20 +323,21 @@ class TestTomogramSweep:
             "--grid", str(grid_path), "--q", "2", "--q", "0.5", "--out", str(records_path),
         )
         assert code == 0
-        qs = (TsallisParam(2.0), TsallisParam(0.5))
-        records = direction_sweep(state, spin_rep(2.5), Factorization((3, 2)), grid, qs)
+        rep, f = spin_rep(2.5), Factorization((3, 2))
+        tables = [tomogram(state, rep, d) for d in grid]
+        reports = [{tq.q: tomographic_tsallis_report(t, f, tq) for tq in
+                    (TsallisParam(2.0), TsallisParam(0.5))} for t in tables]
         check = json.loads(out)["checks"][2]
         assert check["name"] == "tomographic_tsallis_min_margin_q=2"
-        margins = [r.tsallis[2.0].s_q1 + r.tsallis[2.0].s_q2 - r.tsallis[2.0].s_q for r in records]
-        assert check["value"] == min(margins)
+        assert check["value"] == min(r[2.0].s_q1 + r[2.0].s_q2 - r[2.0].s_q for r in reports)
         expected = [
             json.dumps(jsonable({
-                "theta": r.direction.theta, "phi": r.direction.phi, "psi": r.direction.psi,
-                "values": r.values, "information": r.information,
-                "tsallis": {f"{q:g}": report for q, report in r.tsallis.items()},
-                "normalization_error": r.normalization_error,
+                "theta": d.theta, "phi": d.phi, "psi": d.psi,
+                "values": t.values, "information": mutual_tomographic_information(t, f),
+                "tsallis": {f"{q:g}": report for q, report in r.items()},
+                "normalization_error": t.normalization_error,
             }), sort_keys=True)
-            for r in records
+            for d, t, r in zip(grid, tables, reports)
         ]
         assert records_path.read_text().splitlines() == expected
 
@@ -405,6 +421,22 @@ _MALFORMED = [
      "--q 2.0 and --q 2.0 share the label q=2"),
     ("repeated_q_sweep", "tomogram-sweep --q 3 --q 3", _BELL, None, "2,2", 2,
      "--q 3.0 and --q 3.0 share the label q=3"),
+    ("numeric_string_probability", "analyze-prob", ["0.25"] * 4, None, "2,2", 2,
+     "input.json: probabilities must be numeric: strings are not numbers"),
+    ("numeric_string_matrix_entry", "analyze-dm", {"dim": 2, "re": [["0.5", "0"], ["0", "0.5"]]},
+     None, "2,1", 2, "input.json: 'dim', 're' and 'im' must be numeric: strings are not numbers"),
+    ("numeric_string_dim", "analyze-dm", {"dim": "4", "re": (np.eye(4) / 4).tolist()}, None,
+     "2,2", 2, "input.json: 'dim', 're' and 'im' must be numeric: strings are not numbers"),
+    ("numeric_string_angle", "tomogram-sweep", _BELL, [{"theta": "0.5", "phi": "0.1"}], "2,2", 2,
+     "grid.json: entry 0 has a non-numeric angle: strings are not numbers"),
+    ("deep_input", "analyze-dm", "[" * 100_000 + "]" * 100_000, None, "2,2", 2,
+     "p.csv: maximum recursion depth exceeded"),
+    ("list_dim", "analyze-dm", {"dim": [4], "re": (np.eye(4) / 4).tolist()}, None, "2,2", 2,
+     "input.json: 'dim', 're' and 'im' must be numeric"),
+    ("list_angles", "tomogram-sweep", _BELL, [{"theta": [0.5], "phi": [0.1], "psi": [0.0]}],
+     "2,2", 2, "grid.json: entry 0 has a non-numeric angle"),
+    ("deep_grid", "tomogram-sweep", _BELL, b"[" * 100_000 + b"]" * 100_000, "2,2", 2,
+     "grid.json: maximum recursion depth exceeded"),
 ]
 
 

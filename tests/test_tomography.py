@@ -24,7 +24,7 @@ from quditcorr import (
     tomographic_tsallis_report,
     validate,
 )
-from quditcorr.tomography import tomogram_diagonals, tomogram_values, wigner_d
+from quditcorr.tomography import tomogram_diagonals, tomogram_values, tsallis_reports, wigner_d
 
 LN2 = math.log(2.0)
 
@@ -355,34 +355,35 @@ class TestDirectionSweep:
         ]
 
     def test_maximally_mixed_all_zero(self):
-        records = direction_sweep(
+        sweep = direction_sweep(
             validate(np.eye(4) / 4), SpinRep(1.5), Factorization((2, 2)), self.grid()
         )
-        assert len(records) == 25
-        for record in records:
-            assert abs(record.information) <= 1e-12
+        assert len(sweep.directions) == 25
+        assert sweep.values.shape == (25, 4)
+        assert sweep.information.shape == sweep.normalization_error.shape == (25,)
+        assert np.abs(sweep.information).max() <= 1e-12
 
     def test_bell_like_state_along_z(self):
         v = np.zeros(4)
         v[0] = v[3] = 2**-0.5
         state = validate(np.outer(v, v))
-        records = direction_sweep(
+        sweep = direction_sweep(
             state, SpinRep(1.5), Factorization((2, 2)), [Direction(0.0, 0.0)], (TsallisParam(2.0),)
         )
-        record = records[0]
-        np.testing.assert_allclose(record.values, [0.5, 0.0, 0.0, 0.5], atol=1e-13)
-        assert abs(record.information - LN2) <= 1e-12
-        assert record.tsallis[2.0].subadditivity_holds
+        np.testing.assert_allclose(sweep.values[0], [0.5, 0.0, 0.0, 0.5], atol=1e-13)
+        assert abs(sweep.information[0] - LN2) <= 1e-12
+        assert sweep.tsallis[2.0].shape == (4, 1)
+        assert tsallis_reports(sweep.tsallis[2.0])[0].subadditivity_holds
 
     def test_sweep_normalization_and_order(self):
         rng = np.random.default_rng(35)
         state = validate(random_density(rng, 4))
         grid = self.grid(10, 10)
-        records = direction_sweep(state, SpinRep(1.5), Factorization((2, 2)), grid)
-        assert [r.direction for r in records] == grid
-        for record in records:
-            assert record.normalization_error <= 1e-10
-            assert record.information >= -1e-10
+        sweep = direction_sweep(state, SpinRep(1.5), Factorization((2, 2)), grid)
+        assert sweep.directions == grid
+        assert sweep.tsallis == {}
+        assert sweep.normalization_error.max() <= 1e-10
+        assert sweep.information.min() >= -1e-10
 
     def test_records_match_per_table_functions(self):
         rng = np.random.default_rng(36)
@@ -390,20 +391,29 @@ class TestDirectionSweep:
         rep = SpinRep(2.5)
         state = validate(random_density(rng, 6))
         qs = (TsallisParam(0.5), TsallisParam(2.0), TsallisParam(3.0))
-        for record in direction_sweep(state, rep, f, self.grid(4, 4), qs):
-            table = tomogram(state, rep, record.direction)
-            assert np.abs(np.asarray(record.values) - table.values).max() <= 1e-12
+        sweep = direction_sweep(state, rep, f, self.grid(4, 4), qs)
+        assert sorted(sweep.tsallis) == [0.5, 2.0, 3.0]
+        for table in sweep.tsallis.values():
+            assert table.shape == (4, 16)
+            # The margin row is S_q1 + S_q2 - S_q of the rows above it, bit for bit.
+            assert np.array_equal(table[3], table[0] + table[1] - table[2])
+        for k, direction in enumerate(sweep.directions):
+            table = tomogram(state, rep, direction)
+            assert np.abs(sweep.values[k] - table.values).max() <= 1e-12
+            assert abs(sweep.normalization_error[k] - table.normalization_error) <= 1e-12
             info = mutual_tomographic_information(table, f)
-            assert abs(record.information - info) <= 1e-12
+            assert abs(sweep.information[k] - info) <= 1e-12
             first, second = tomographic_marginals(table, f)
             oracle = shannon_ref(first.probs) + shannon_ref(second.probs) - shannon_ref(table.values)
-            assert abs(record.information - oracle) <= 1e-12
+            assert abs(sweep.information[k] - oracle) <= 1e-12
             for tq in qs:
                 expected = tomographic_tsallis_report(table, f, tq)
-                got = record.tsallis[tq.q]
-                assert abs(got.s_q1 - expected.s_q1) <= 1e-12
-                assert abs(got.s_q2 - expected.s_q2) <= 1e-12
-                assert abs(got.s_q - expected.s_q) <= 1e-12
+                s_q1, s_q2, s_q, margin = sweep.tsallis[tq.q][:, k]
+                assert abs(s_q1 - expected.s_q1) <= 1e-12
+                assert abs(s_q2 - expected.s_q2) <= 1e-12
+                assert abs(s_q - expected.s_q) <= 1e-12
+                assert abs(margin - (expected.s_q1 + expected.s_q2 - expected.s_q)) <= 1e-12
+                got = tsallis_reports(sweep.tsallis[tq.q])[k]
                 assert got.subadditivity_holds == expected.subadditivity_holds
 
     def test_empty_grid_rejected(self):
@@ -424,21 +434,22 @@ class TestLargeSpinOracle:
         rep = SpinRep(j)
         state = validate(random_density(rng, rep.dim))
         f = Factorization(dims)
-        records = direction_sweep(state, rep, f, self.DIRECTIONS, (TsallisParam(2.0),))
+        sweep = direction_sweep(state, rep, f, self.DIRECTIONS, (TsallisParam(2.0),))
         theta, phi = (np.array([getattr(d, a) for d in self.DIRECTIONS]) for a in ("theta", "phi"))
         states = np.array([state.matrix] * len(self.DIRECTIONS))
         stacked, _ = tomogram_values(tomogram_diagonals(rep, theta, phi, states), states)
-        for direction, record, row in zip(self.DIRECTIONS, records, stacked):
+        for k, (direction, row) in enumerate(zip(self.DIRECTIONS, stacked)):
             expected = n_dot_j_tomogram(state.matrix, direction.theta, direction.phi)
             table = tomogram(state, rep, direction)
             assert np.abs(table.values - expected).max() <= 1e-12
-            assert np.abs(np.asarray(record.values) - expected).max() <= 1e-12
+            assert np.abs(sweep.values[k] - expected).max() <= 1e-12
             assert np.abs(row - expected).max() <= 1e-12
             grid = expected.reshape(dims[::-1])
             info = shannon_ref(grid.sum(axis=0)) + shannon_ref(grid.sum(axis=1)) - shannon_ref(expected)
-            assert abs(record.information - info) <= 1e-12
-            assert abs(record.information - mutual_tomographic_information(table, f)) <= 1e-12
+            assert abs(sweep.information[k] - info) <= 1e-12
+            assert abs(sweep.information[k] - mutual_tomographic_information(table, f)) <= 1e-12
             report = tomographic_tsallis_report(table, f, TsallisParam(2.0))
-            assert abs(record.tsallis[2.0].s_q1 - report.s_q1) <= 1e-12
-            assert abs(record.tsallis[2.0].s_q2 - report.s_q2) <= 1e-12
-            assert abs(record.tsallis[2.0].s_q - report.s_q) <= 1e-12
+            s_q1, s_q2, s_q, _ = sweep.tsallis[2.0][:, k]
+            assert abs(s_q1 - report.s_q1) <= 1e-12
+            assert abs(s_q2 - report.s_q2) <= 1e-12
+            assert abs(s_q - report.s_q) <= 1e-12

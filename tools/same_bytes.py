@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-36 commands and their inputs (drawn with numpy from a fixed seed) into one
+42 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/36 identical", and exits 1 on any mismatch.
+then "k/42 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -75,7 +75,7 @@ def _probabilities(rng, n: int) -> np.ndarray:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 36 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 42 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -133,6 +133,24 @@ def write_corpus(tmp: Path) -> list:
     commands += [(["analyze-prob", "--input", str(tmp / "p_2.csv"), "--dims", "2,3,2"], None),
                  (["analyze-dm", "--input", str(tmp / "dm_5.json"), "--dims", "4,4,4"], None),
                  (["tomogram-sweep", "--input", str(tmp / "spin_16.json"), "--dims", "4,4"], None)]
+
+    # Error paths: each exits 2, and its message must not move either.
+    bad = {"bool_p.json": [True, False, False, False],
+           "huge_dim.json": {"dim": 10**400, "re": [[1.0]]},
+           "fractional_dim.json": {"dim": 4.5, "re": (np.eye(4) / 4).tolist()},
+           "no_re.json": {"dim": 2, "im": [[0.0, 0.0], [0.0, 0.0]]},
+           "bool_grid.json": [{"theta": True, "phi": False}]}
+    for name, payload in bad.items():
+        (tmp / name).write_text(json.dumps(payload))
+    (tmp / "latin1_grid.json").write_bytes(b"\xff\xfe[]")
+    bell = str(tmp / "spin_4.json")
+    commands += [(["analyze-prob", "--input", str(tmp / "bool_p.json"), "--dims", "2,2"], None),
+                 (["analyze-dm", "--input", str(tmp / "huge_dim.json"), "--dims", "1,1"], None),
+                 (["analyze-dm", "--input", str(tmp / "fractional_dim.json"), "--dims", "2,2"],
+                  None),
+                 (["analyze-dm", "--input", str(tmp / "no_re.json"), "--dims", "2,1"], None)]
+    commands += [(["tomogram-sweep", "--input", bell, "--dims", "2,2", "--grid", str(tmp / grid)],
+                   None) for grid in ("bool_grid.json", "latin1_grid.json")]
     return commands
 
 
