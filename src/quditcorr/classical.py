@@ -72,11 +72,7 @@ class JointView:
     factorization: Factorization
 
     def __post_init__(self):
-        if self.factorization.total != len(self.base):
-            raise UsageError(
-                f"dimension mismatch: factorization total {self.factorization.total} "
-                f"!= vector length {len(self.base)}"
-            )
+        self.factorization.check_total(len(self.base), "vector length")
 
     def tensor(self) -> np.ndarray:
         # C-order reshape lists axes slowest-first, so the axis order is

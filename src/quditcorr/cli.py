@@ -110,11 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tsallis_params(values, default=()) -> list[TsallisParam]:
-    """One TsallisParam per q; their labels f"{q:g}" key report entries, so they must differ."""
+    """One TsallisParam per q; their labels f"{q:g}" key report entries, so they must differ,
+    and none may read "1", where (sum p^q - 1)/(q - 1) has lost a margin's digits."""
     qs = [TsallisParam(q) for q in (default if values is None else values)]
     labels: dict[str, float] = {}
     for tq in qs:
-        if (label := f"{tq.q:g}") in labels:
+        if (label := f"{tq.q:g}") == "1":
+            raise UsageError(f"--q {tq.q!r} has the label q=1, too close to 1 for a Tsallis "
+                             "margin; the Shannon results cover q -> 1")
+        if label in labels:
             raise UsageError(f"--q {labels[label]!r} and --q {tq.q!r} share the label q={label}")
         labels[label] = tq.q
     return qs
@@ -129,18 +133,9 @@ def _report(args, results, checks, qs=(), seed=None) -> Report:
     return Report(request=request, seed=seed, results=results, checks=checks)
 
 
-def _check_total(factorization: Factorization, size: int, found: str) -> None:
-    if factorization.total != size:
-        raise UsageError(
-            f"dimension mismatch: dims {list(factorization.dims)} give total "
-            f"{factorization.total}, {found}"
-        )
-
-
 def _cmd_analyze_prob(args) -> Report:
     factorization = Factorization(args.dims)
     vector = load_probability_vector(args.input)
-    _check_total(factorization, len(vector), f"input has {len(vector)} entries")
     view = JointView(vector, factorization)
     split = QuditSplit(factorization, args.split)
     report = subadditivity_report(view, split)
@@ -230,15 +225,9 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
     return results, checks
 
 
-def _load_state(args) -> tuple[Factorization, DensityMatrix]:
+def _cmd_analyze_dm(args) -> Report:
     factorization = Factorization(args.dims)
     state = load_density_matrix(args.input)
-    _check_total(factorization, state.dim, f"matrix is {state.dim}x{state.dim}")
-    return factorization, state
-
-
-def _cmd_analyze_dm(args) -> Report:
-    factorization, state = _load_state(args)
     return _report(args, *_analyze_density_matrix(state, factorization, args.split))
 
 
@@ -249,7 +238,8 @@ def _default_grid() -> list[Direction]:
 
 
 def _cmd_tomogram_sweep(args) -> Report:
-    factorization, state = _load_state(args)
+    factorization = Factorization(args.dims)
+    state = load_density_matrix(args.input)
     rep = spin_rep((state.dim - 1) / 2.0)
     grid = load_direction_grid(args.grid) if args.grid else _default_grid()
     qs = _tsallis_params(args.q)

@@ -108,9 +108,8 @@ def quantum_margin(block):
 
 
 def draw_qubits(rng, size):
-    """(p, states): Bloch-ball probabilities and their checked 2x2 matrices."""
-    p = bloch_ball_stack(rng, size)
-    return p, certify_stack(qubit_matrices(p))
+    """Checked 2x2 matrices built from Bloch-ball probabilities."""
+    return certify_stack(qubit_matrices(bloch_ball_stack(rng, size)))
 
 
 def draw_qutrits(rng, size):
@@ -134,8 +133,8 @@ def family_table(qs) -> list[Family]:
     return [
         Family("classical_subadditivity", draw_classical, classical_margin, tol),
         Family("quantum_mutual_information", draw_quantum, quantum_margin, QUANTUM_MUTUAL_ATOL),
-        Family("qubit_zx", draw_qubits, lambda b: relative_shannon(*zx_distributions(b[1])), tol),
-        Family("qubit_xy", draw_qubits, lambda b: relative_shannon(*xy_distributions(b[1])), tol),
+        Family("qubit_zx", draw_qubits, lambda m: relative_shannon(*zx_distributions(m)), tol),
+        Family("qubit_xy", draw_qubits, lambda m: relative_shannon(*xy_distributions(m)), tol),
         Family("qutrit_shannon", draw_qutrits,
                lambda m: relative_shannon(*qutrit_distributions(m)), tol),
         *(Family(f"qutrit_tsallis_q={tq.q:g}", draw_qutrits,

@@ -13,7 +13,7 @@ the same y differently.
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,13 @@ class Factorization:
     @property
     def num_axes(self) -> int:
         return len(self.dims)
+
+    def check_total(self, size: int, what: str) -> None:
+        """Raise UsageError unless the dims span exactly the `size` levels of `what`."""
+        if self.total != size:
+            raise UsageError(
+                f"dimension mismatch: factorization total {self.total} != {what} {size}"
+            )
 
 
 @dataclass(frozen=True)

@@ -123,11 +123,7 @@ class ReshapedState:
     factorization: Factorization
 
     def __post_init__(self):
-        if self.factorization.total != self.base.dim:
-            raise UsageError(
-                f"dimension mismatch: factorization total {self.factorization.total} "
-                f"!= matrix dimension {self.base.dim}"
-            )
+        self.factorization.check_total(self.base.dim, "matrix dimension")
 
 
 # einsum partial traces over a (..., b, a, b', a') block view.

@@ -207,16 +207,16 @@ def tomogram_values(diagonals: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray,
     return values, errors[..., 0]
 
 
+def _check_partition(factorization: Factorization, size: int) -> None:
+    if factorization.num_axes != 2:
+        raise UsageError(f"tomographic analysis splits into two axes, got {factorization.num_axes}")
+    factorization.check_total(size, "tomogram length")
+
+
 def marginal_pair(values: np.ndarray, factorization: Factorization):
     """Both marginals of a validated table as arrays, renormalized exactly as
     ProbabilityVector would, without validating them again."""
-    if factorization.num_axes != 2:
-        raise UsageError(f"tomographic analysis splits into two axes, got {factorization.num_axes}")
-    if factorization.total != values.shape[-1]:
-        raise UsageError(
-            f"dimension mismatch: factorization total {factorization.total} "
-            f"!= tomogram length {values.shape[-1]}"
-        )
+    _check_partition(factorization, values.shape[-1])
     tensor = values.reshape(*values.shape[:-1], *factorization.dims[::-1])  # first axis fastest
     first, second = tensor.sum(axis=-2), tensor.sum(axis=-1)
     return first / first.sum(axis=-1, keepdims=True), second / second.sum(axis=-1, keepdims=True)
@@ -297,13 +297,14 @@ def direction_sweep(
 ) -> Sweep:
     """Evaluate the tomographic diagnostics over a direction grid.
 
-    The state is checked once, the kernel runs one direction at a time, and the
-    table checks, marginals and entropies run once, over the stack.
+    The state and partition are checked before any tomogram, the kernel runs one
+    direction at a time, and table checks, marginals and entropies run once, over the stack.
     """
     directions = list(grid)
     if not directions:
         raise UsageError("direction grid is empty")
     _check_inputs(state, rep, directions)
+    _check_partition(factorization, state.dim)
     rho = state.matrix
     diagonals = np.array([tomogram_diagonals(rep, d.theta, d.phi, rho) for d in directions])
     values, errors = tomogram_values(diagonals, rho)

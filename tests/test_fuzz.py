@@ -53,7 +53,7 @@ from quditcorr.fuzz import (
 )
 from quditcorr.qubit_qutrit import bloch_probabilities
 from quditcorr.quantum import certify_stack, validate_stack
-from quditcorr.sampling import _ginibre
+from quditcorr.sampling import _ginibre, bloch_ball_stack
 from quditcorr.tolerances import PSD_ATOL
 from quditcorr.tomography import check_angles
 
@@ -89,10 +89,7 @@ def _quantum(block):
 
 
 def _qubits(inequality):
-    def scalar(block):
-        p, _ = block
-        return [inequality(qubit_from_probabilities(QubitProbabilities(*row))).value for row in p]
-    return scalar
+    return lambda block: [inequality(DensityMatrix(m)).value for m in block]
 
 
 def _qutrit_tsallis(q):
@@ -288,6 +285,12 @@ def test_certify_stack_decides_like_validate_stack(case):
         expected, got = validate_stack(stack)[0], certify_stack(stack)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def test_qubit_draw_is_the_scalar_reconstruction_of_bloch_ball_probabilities():
+    p = bloch_ball_stack(np.random.default_rng(5), 7)
+    expected = [qubit_from_probabilities(QubitProbabilities(*row)).matrix for row in p]
+    assert draw_qubits(np.random.default_rng(5), 7).tobytes() == np.array(expected).tobytes()
 
 
 def test_spectrum_free_draws_take_no_spectra(monkeypatch):

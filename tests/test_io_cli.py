@@ -176,7 +176,7 @@ class TestAnalyzeProb:
         path.write_text("".join(f"{1/6}\n" for _ in range(6)))
         code, out, err = run_cli(capsys, "analyze-prob", "--input", str(path), "--dims", "2,2")
         assert code == 2
-        assert "dimension mismatch" in err
+        assert err == "error: dimension mismatch: factorization total 4 != vector length 6\n"
         assert out == ""
 
     def test_unparsable_file_exits_2(self, tmp_path, capsys):
@@ -437,6 +437,18 @@ _MALFORMED = [
      "2,2", 2, "grid.json: entry 0 has a non-numeric angle"),
     ("deep_grid", "tomogram-sweep", _BELL, b"[" * 100_000 + b"]" * 100_000, "2,2", 2,
      "grid.json: maximum recursion depth exceeded"),
+    ("q_label_one_fuzz", "fuzz --count 300 --q 1.0000000001", None, None, None, 2,
+     "--q 1.0000000001 has the label q=1"),
+    ("q_label_one_prob", "analyze-prob --q 2 --q 0.9999995", [0.25] * 4, None, "2,2", 2,
+     "--q 0.9999995 has the label q=1"),
+    ("q_label_one_sweep", "tomogram-sweep --q 1.000004", _BELL, None, "2,2", 2,
+     "--q 1.000004 has the label q=1"),
+    ("wrong_total_dm", "analyze-dm", _BELL, None, "2,3", 2,
+     "dimension mismatch: factorization total 6 != matrix dimension 4"),
+    ("wrong_total_sweep", "tomogram-sweep", _BELL, None, "2,3", 2,
+     "dimension mismatch: factorization total 6 != tomogram length 4"),
+    ("three_axis_sweep", "tomogram-sweep", {"dim": 16, "re": (np.eye(16) / 16).tolist()}, None,
+     "2,2,4", 2, "tomographic analysis splits into two axes, got 3"),
 ]
 
 

@@ -6,6 +6,7 @@ from quditcorr import (
     Factorization,
     MultiIndex,
     QuditSplit,
+    UsageError,
     compose,
     decompose,
     split_index,
@@ -27,6 +28,12 @@ class TestFactorization:
 
     def test_unit_axes_allowed(self):
         assert Factorization((1, 5, 1)).total == 5
+
+    def test_check_total_names_both_sizes(self):
+        Factorization((2, 3)).check_total(6, "vector length")
+        with pytest.raises(UsageError) as exc:
+            Factorization((2, 3)).check_total(4, "matrix dimension")
+        assert str(exc.value) == "dimension mismatch: factorization total 6 != matrix dimension 4"
 
 
 class TestCompose:

@@ -24,6 +24,7 @@ from quditcorr import (
     tomographic_tsallis_report,
     validate,
 )
+from quditcorr import tomography
 from quditcorr.tomography import tomogram_diagonals, tomogram_values, tsallis_reports, wigner_d
 
 LN2 = math.log(2.0)
@@ -419,6 +420,19 @@ class TestDirectionSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError, match="empty"):
             direction_sweep(validate(np.eye(4) / 4), SpinRep(1.5), Factorization((2, 2)), [])
+
+    @pytest.mark.parametrize("dims, message", [
+        ((2, 2, 4), "tomographic analysis splits into two axes, got 3"),
+        ((4, 8), "dimension mismatch: factorization total 32 != tomogram length 16"),
+    ])
+    def test_bad_partition_rejected_before_any_tomogram(self, monkeypatch, dims, message):
+        def fail(*args):
+            raise AssertionError("a tomogram was computed before the partition was checked")
+
+        monkeypatch.setattr(tomography, "tomogram_diagonals", fail)
+        state = validate(np.eye(16) / 16)
+        with pytest.raises(UsageError, match=message):
+            direction_sweep(state, SpinRep(7.5), Factorization(dims), [Direction(0.3, 0.4)])
 
 
 class TestLargeSpinOracle:

@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-42 commands and their inputs (drawn with numpy from a fixed seed) into one
+49 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/42 identical", and exits 1 on any mismatch.
+then "k/49 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -52,9 +52,10 @@ for argv, out in json.loads(Path(corpus).read_text()):
 Path(results).write_text(json.dumps(outcomes))
 """
 
-# (dims, split): 2- and 3-axis layouts at N = 4 to 256, every split of each.
+# (dims, split): 2- to 4-axis layouts at N = 4 to 256, every split of each.
 _LAYOUTS = [((2, 2), 1), ((3, 4), 1), ((2, 3, 2), 1), ((2, 3, 2), 2), ((4, 16), 1),
-            ((4, 4, 4), 1), ((4, 4, 4), 2), ((16, 16), 1), ((2, 8, 16), 1), ((2, 8, 16), 2)]
+            ((4, 4, 4), 1), ((4, 4, 4), 2), ((16, 16), 1), ((2, 8, 16), 1), ((2, 8, 16), 2),
+            ((2, 3, 2, 2), 1), ((2, 3, 2, 2), 2), ((2, 3, 2, 2), 3)]
 # (dims, extra flags, whether to pass a random --grid): one sweep per spin dimension.
 _SWEEPS = [((2, 2), ["--q", "2"], False), ((2, 3), ["--q", "0.5", "--q", "3"], True),
            ((4, 4), ["--q", "2"], False), ((8, 8), ["--q", "2", "--q", "3"], True),
@@ -75,7 +76,7 @@ def _probabilities(rng, n: int) -> np.ndarray:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 42 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 49 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -151,6 +152,8 @@ def write_corpus(tmp: Path) -> list:
                  (["analyze-dm", "--input", str(tmp / "no_re.json"), "--dims", "2,1"], None)]
     commands += [(["tomogram-sweep", "--input", bell, "--dims", "2,2", "--grid", str(tmp / grid)],
                    None) for grid in ("bool_grid.json", "latin1_grid.json")]
+    commands.append((["tomogram-sweep", "--input", str(tmp / "spin_16.json"), "--dims", "2,2,4"],
+                     None))
     return commands
 
 
