@@ -54,7 +54,7 @@ from .tolerances import (
     SUBADDITIVITY_ATOL,
     TOMOGRAM_SUM_ATOL,
 )
-from .tomography import Direction, direction_sweep, spin_rep, tsallis_reports
+from .tomography import Direction, check_two_axes, direction_sweep, spin_rep, tsallis_reports
 
 
 def _dims_arg(text: str) -> tuple[int, ...]:
@@ -135,11 +135,11 @@ def _report(args, results, checks, qs=(), seed=None) -> Report:
 
 def _cmd_analyze_prob(args) -> Report:
     factorization = Factorization(args.dims)
+    qs = _tsallis_params(args.q)
     vector = load_probability_vector(args.input)
     view = JointView(vector, factorization)
     split = QuditSplit(factorization, args.split)
     report = subadditivity_report(view, split)
-    qs = _tsallis_params(args.q)
 
     num_axes = factorization.num_axes
     left, right = report.left, report.right
@@ -239,10 +239,11 @@ def _default_grid() -> list[Direction]:
 
 def _cmd_tomogram_sweep(args) -> Report:
     factorization = Factorization(args.dims)
+    check_two_axes(factorization)  # --dims and --q are refused before any file is read
+    qs = _tsallis_params(args.q)
     state = load_density_matrix(args.input)
     rep = spin_rep((state.dim - 1) / 2.0)
     grid = load_direction_grid(args.grid) if args.grid else _default_grid()
-    qs = _tsallis_params(args.q)
     sweep = direction_sweep(state, rep, factorization, grid, qs)
 
     if args.out:

@@ -122,6 +122,8 @@ def draw_tomographic(rng, size):
 
 
 def tomographic_margin(block):
+    """Mutual tomographic information of each state at its own direction; the block
+    is one slab of the tomogram kernel, so each margin equals the scalar API's."""
     states, theta, phi = block
     values, _ = tomogram_values(tomogram_diagonals(spin_rep(1.5), theta, phi, states), states)
     return split_entropies(*marginal_pair(values, _TWO_QUBITS), values)[3]

@@ -4,11 +4,13 @@ A tomogram w(m | n) is the diagonal of u rho u^dagger, where u is the SU(2)
 rotation carrying the measurement direction n.  Only the Wigner factor
 d = exp(i theta Jy) and the phase P = exp(i phi Jz) of u reach the diagonal,
 and d is real orthogonal (i Jy is real antisymmetric), so the diagonal is
-rowsum((d Re(P rho P^dagger)) * d): two real matrix products per direction.
-Tables are reported in the
-flat-index order m = -j -> 1, ..., m = j -> 2j+1, which reverses the
-storage basis (|m> kept with m descending); relabelled this way, a tomogram
-is a one-variable distribution that the partition machinery can analyze.
+rowsum((d Re(P rho P^dagger)) * d).  Only the top ceil(N/2) rows of d are
+multiplied out; the symmetry d_{-m,-m'} = (-1)^(m-m') d_{m,m'} mirrors the
+rest, so a direction costs about 1.5 N^3 real multiply-adds.  Tables are
+reported in the flat-index order m = -j -> 1, ..., m = j -> 2j+1, which
+reverses the storage basis (|m> kept with m descending); relabelled this
+way, a tomogram is a one-variable distribution that the partition
+machinery can analyze.
 """
 
 import math
@@ -62,10 +64,10 @@ def check_angles(theta, phi, psi):
 
 class SpinRep:
     """Spin-j operator triple in the |m> basis ordered m = j, j-1, ..., -j.  A shared rep
-    stays small: it keeps the ladder and the real factors of exp(i theta Jy) and builds
-    jz, jx, jy on access."""
+    stays small: it keeps the ladder, the real factors of exp(i theta Jy) and the mirror
+    signs of its bottom rows, and builds jz, jx, jy on access."""
 
-    __slots__ = ("j", "dim", "m_values", "_ladder", "_factors")
+    __slots__ = ("j", "dim", "m_values", "_ladder", "_factors", "_mirror_signs")
 
     def __init__(self, j):
         twice = float(j) * 2.0
@@ -92,7 +94,10 @@ class SpinRep:
             omega.append(np.zeros(1))
         # exp(i theta Jy) = q B(theta) q^T with q B = q cos(theta omega) + turn sin(theta omega).
         self._factors = (np.hstack(q), np.hstack(turn), np.concatenate(omega))
-        for arr in (self.m_values, self._ladder, *self._factors):
+        # d[N-1-k, N-1-l] = (-1)^(k+l) d[k, l] for the rows k < N // 2 (m > 0).
+        k = np.arange(self.dim)
+        self._mirror_signs = 1.0 - 2.0 * ((k[:self.dim // 2, None] + k) % 2)
+        for arr in (self.m_values, self._ladder, *self._factors, self._mirror_signs):
             arr.flags.writeable = False
 
     @property
@@ -118,10 +123,30 @@ def spin_rep(j) -> SpinRep:
 
 
 def wigner_d(rep: SpinRep, theta) -> np.ndarray:
-    """exp(i theta Jy), a real orthogonal matrix; an array of theta gives a (..., N, N) stack."""
-    q, turn, omega = rep._factors
-    angles = np.multiply.outer(theta, omega)[..., None, :]
-    return (q * np.cos(angles) + turn * np.sin(angles)) @ q.T
+    """exp(i theta Jy), a real orthogonal matrix; an array of theta gives a (..., N, N) stack.
+
+    Only the top ceil(N/2) rows are multiplied out, as (q cos(theta omega) + turn
+    sin(theta omega)) q^T over their rows of q and turn: about N^3 / 2 multiply-adds.
+    The rest are mirrored, d[N-1-k, N-1-l] = (-1)^(k+l) d[k, l], which is
+    d_{-m,-m'} = (-1)^(m-m') d_{m,m'}, so each mirrored row pair agrees bit for bit.
+    """
+    angles = np.multiply.outer(theta, rep._factors[2])
+    d, work = np.empty((2, *angles.shape, rep.dim))
+    _fill_wigner_d(rep, np.cos(angles), np.sin(angles), d, work)
+    return d
+
+
+def _fill_wigner_d(rep: SpinRep, cos, sin, out, work) -> None:
+    """Write exp(i theta Jy) into `out` from cos(theta omega) and sin(theta omega),
+    each (..., N); `work` is a (..., N, N) array whose top ceil(N/2) rows are overwritten."""
+    q, turn, _ = rep._factors
+    rows = rep.dim - rep.dim // 2
+    top, term = work[..., :rows, :], out[..., :rows, :]
+    np.multiply(q[:rows], cos[..., None, :], out=top)
+    np.multiply(turn[:rows], sin[..., None, :], out=term)
+    top += term
+    np.matmul(top, q.T, out=term)
+    np.multiply(term[..., :rep.dim // 2, :], rep._mirror_signs, out=out[..., :rows - 1:-1, ::-1])
 
 
 def rotation_matrix(rep: SpinRep, direction: Direction) -> np.ndarray:
@@ -150,7 +175,7 @@ class TomogramTable:
 
 
 def tomogram(state: DensityMatrix, rep: SpinRep, direction: Direction) -> TomogramTable:
-    """Spin-projection distribution along `direction`.
+    """Spin-projection distribution along `direction`, from tomogram_diagonals.
 
     `state` is given in the same |m>-descending basis as `rep`.
     """
@@ -170,12 +195,34 @@ def _check_inputs(state: DensityMatrix, rep: SpinRep, directions) -> None:
 
 def tomogram_diagonals(rep: SpinRep, theta, phi, rho: np.ndarray) -> np.ndarray:
     """Raw diag(d rho' d^T) = rowsum((d Re rho') * d), rho' = P rho P^dagger with
-    P = exp(i phi Jz), in storage order (m descending); angle arrays take a stack of rho."""
-    d = wigner_d(rep, theta)
+    P = exp(i phi Jz), in storage order (m descending), shaped like the angles plus (N,).
+    Every tomogram in the package is computed here.
+
+    rho is one (N, N) matrix shared by all directions, one slab per direction, or one
+    matrix per direction, one slab in all.  The trig and phases of every angle are taken
+    first; each slab builds d as wigner_d does (about 1.5 N^3 multiply-adds per
+    direction) and runs the same steps through one work array allocated per call, so
+    a row never depends on the others.
+    """
+    angles = np.multiply.outer(theta, rep._factors[2])
+    cos = np.cos(angles)
+    sin = np.sin(angles, out=angles)
     phase = np.exp(1.0j * np.multiply.outer(phi, rep.m_values))
-    rotated = d @ (rho * (phase[..., :, None] * np.conj(phase[..., None, :]))).real.copy()
-    rotated *= d
-    return rotated.sum(axis=-1)
+    out = np.empty(cos.shape)
+    # One work array of three real planes: the first two hold P rho P^dagger, and once
+    # its real part is copied into the third, the product d @ real and d.
+    work = np.empty((*rho.shape[:-2], 3, *rho.shape[-2:]))
+    product, d, real = (work[..., plane, :, :] for plane in range(3))
+    phased = work[..., :2, :, :].reshape(*rho.shape[:-1], 2 * rho.shape[-1]).view(complex)
+    for k in np.ndindex(cos.shape[:cos.ndim + 1 - rho.ndim]):
+        np.multiply(phase[k][..., :, None], np.conj(phase[k])[..., None, :], out=phased)
+        np.multiply(rho, phased, out=phased)
+        np.copyto(real, phased.real)
+        _fill_wigner_d(rep, cos[k], sin[k], d, product)
+        np.matmul(d, real, out=product)
+        product *= d
+        product.sum(axis=-1, out=out[k])
+    return out
 
 
 def tomogram_values(diagonals: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,9 +254,14 @@ def tomogram_values(diagonals: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray,
     return values, errors[..., 0]
 
 
-def _check_partition(factorization: Factorization, size: int) -> None:
+def check_two_axes(factorization: Factorization) -> None:
+    """Refuse a partition that does not split a tomogram into two axes."""
     if factorization.num_axes != 2:
         raise UsageError(f"tomographic analysis splits into two axes, got {factorization.num_axes}")
+
+
+def _check_partition(factorization: Factorization, size: int) -> None:
+    check_two_axes(factorization)
     factorization.check_total(size, "tomogram length")
 
 
@@ -297,8 +349,9 @@ def direction_sweep(
 ) -> Sweep:
     """Evaluate the tomographic diagnostics over a direction grid.
 
-    The state and partition are checked before any tomogram, the kernel runs one
-    direction at a time, and table checks, marginals and entropies run once, over the stack.
+    The state and partition are checked before any tomogram; one tomogram_diagonals call
+    computes every direction, each row bit for bit as `tomogram` would, and table checks,
+    marginals and entropies run once, over the stack.
     """
     directions = list(grid)
     if not directions:
@@ -306,8 +359,8 @@ def direction_sweep(
     _check_inputs(state, rep, directions)
     _check_partition(factorization, state.dim)
     rho = state.matrix
-    diagonals = np.array([tomogram_diagonals(rep, d.theta, d.phi, rho) for d in directions])
-    values, errors = tomogram_values(diagonals, rho)
+    theta, phi = (np.array([getattr(d, name) for d in directions]) for name in ("theta", "phi"))
+    values, errors = tomogram_values(tomogram_diagonals(rep, theta, phi, rho), rho)
     first, second = marginal_pair(values, factorization)
     entropies = {tq.q: np.array(_kernels.split_entropies(first, second, values, tq.q)) for tq in qs}
     information = _kernels.split_entropies(first, second, values)[3]

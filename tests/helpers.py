@@ -103,6 +103,14 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m / np.trace(m)
 
 
+def wigner_d_full(rep, theta) -> np.ndarray:
+    """exp(i theta Jy) as the full factor product (q cos(theta omega) + turn
+    sin(theta omega)) q^T over every row, without the mirror symmetry."""
+    q, turn, omega = rep._factors
+    angles = np.multiply.outer(theta, omega)[..., None, :]
+    return (q * np.cos(angles) + turn * np.sin(angles)) @ q.T
+
+
 def n_dot_j_tomogram(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
     """Spin tomogram read off the eigenvectors of n.J, without any rotation
     matrix.  `rho` is in the |m> basis with m descending; eigh returns the

@@ -126,6 +126,12 @@ def _assert_same(stacked, scalar):
     assert np.abs(stacked[finite] - scalar[finite]).max() <= 1e-12
 
 
+def test_tomographic_block_equals_single_tomograms_bit_for_bit():
+    # The stacked margin runs the one tomogram kernel on the whole block at once.
+    block = draw_tomographic(np.random.default_rng(23), BLOCK)
+    assert np.array_equal(tomographic_margin(block), _tomographic(block))
+
+
 def test_table_names_in_report_order():
     assert [f.name for f in family_table(QS)] == list(SCALAR)
 

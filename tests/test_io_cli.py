@@ -17,6 +17,7 @@ from quditcorr import (
     tomographic_tsallis_report,
     validate,
 )
+from quditcorr import cli
 from quditcorr.cli import build_parser, main
 from quditcorr.io import (
     density_matrix_payload,
@@ -475,6 +476,30 @@ def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims,
     assert got == code
     assert out == ""
     assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tomogram-sweep", "--dims", "4,8,8", "--grid", "{missing}"],
+     "tomographic analysis splits into two axes, got 3"),
+    (["tomogram-sweep", "--dims", "2,2", "--q", "1.0000001"],
+     "--q 1.0000001 has the label q=1, too close to 1 for a Tsallis margin; "
+     "the Shannon results cover q -> 1"),
+    (["analyze-prob", "--dims", "2,2", "--q", "2", "--q", "1.0000001"],
+     "--q 1.0000001 has the label q=1, too close to 1 for a Tsallis margin; "
+     "the Shannon results cover q -> 1"),
+])
+def test_arguments_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    def fail(path):
+        raise AssertionError(f"{path} was read before the arguments were checked")
+
+    for loader in ("load_density_matrix", "load_probability_vector", "load_direction_grid"):
+        monkeypatch.setattr(cli, loader, fail)
+    missing = str(tmp_path / "missing.json")
+    argv = [missing if a == "{missing}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--input", missing)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 _GRID = [{"theta": 0.1, "phi": 0.2}]

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import n_dot_j_tomogram, random_density, shannon_ref
+from helpers import n_dot_j_tomogram, random_density, shannon_ref, wigner_d_full
 from quditcorr import (
     Direction,
     DomainError,
@@ -115,6 +115,27 @@ class TestSpinRep:
         assert spin_rep(2.5).j == 2.5 and spin_rep(3.0).dim == 7
         with pytest.raises(DomainError):
             spin_rep(0.3)
+
+
+class TestWignerD:
+    """The mirrored half product against the full factor product."""
+
+    THETAS = np.array([0.0, 0.4, 1.3, 2.9, math.pi])
+
+    # N = 2..33, then j = 31.5, 32 and 127.5 (N = 64, 65 and 256).
+    @pytest.mark.parametrize("j", [n / 2.0 for n in range(1, 33)] + [31.5, 32.0, 127.5])
+    def test_matches_full_product_and_mirrors_exactly(self, j):
+        rep = SpinRep(j)
+        n, half = rep.dim, rep.dim // 2
+        signs = (-1.0) ** np.add.outer(np.arange(half), np.arange(n))
+        for theta in (0.4, 2.9, self.THETAS):
+            d = wigner_d(rep, theta)
+            assert d.shape == (*np.shape(theta), n, n)
+            assert np.abs(d - wigner_d_full(rep, theta)).max() <= 1e-13
+            # d[N-1-k, N-1-l] = (-1)^(k+l) d[k, l] on every row but an odd N's middle one.
+            assert np.array_equal(d[..., ::-1, ::-1][..., :half, :], signs * d[..., :half, :])
+            gram = d @ np.swapaxes(d, -1, -2)
+            assert np.abs(gram - np.eye(n)).max() <= 1e-12
 
 
 class TestRotationMatrix:
@@ -416,6 +437,17 @@ class TestDirectionSweep:
                 assert abs(margin - (expected.s_q1 + expected.s_q2 - expected.s_q)) <= 1e-12
                 got = tsallis_reports(sweep.tsallis[tq.q])[k]
                 assert got.subadditivity_holds == expected.subadditivity_holds
+
+    # N = 5 is odd, so its middle row of d is the computed one that maps onto itself.
+    @pytest.mark.parametrize("n, dims", [(5, (5, 1)), (16, (4, 4)), (64, (8, 8))])
+    def test_rows_equal_single_tomograms_bit_for_bit(self, n, dims):
+        rng = np.random.default_rng(n)
+        rep = SpinRep((n - 1) / 2.0)
+        state = validate(random_density(rng, n))
+        grid = [*self.grid(3, 3), Direction(1.1, 4.2, psi=2.5)]
+        sweep = direction_sweep(state, rep, Factorization(dims), grid)
+        for k, direction in enumerate(grid):
+            assert np.array_equal(sweep.values[k], tomogram(state, rep, direction).values)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError, match="empty"):

@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-49 commands and their inputs (drawn with numpy from a fixed seed) into one
+50 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/49 identical", and exits 1 on any mismatch.
+then "k/50 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -56,10 +56,11 @@ Path(results).write_text(json.dumps(outcomes))
 _LAYOUTS = [((2, 2), 1), ((3, 4), 1), ((2, 3, 2), 1), ((2, 3, 2), 2), ((4, 16), 1),
             ((4, 4, 4), 1), ((4, 4, 4), 2), ((16, 16), 1), ((2, 8, 16), 1), ((2, 8, 16), 2),
             ((2, 3, 2, 2), 1), ((2, 3, 2, 2), 2), ((2, 3, 2, 2), 3)]
-# (dims, extra flags, whether to pass a random --grid): one sweep per spin dimension.
+# (dims, extra flags, whether to pass a random --grid): one sweep per spin dimension; the
+# odd N = 9 keeps the middle row of the mirrored Wigner d on the byte-exact path.
 _SWEEPS = [((2, 2), ["--q", "2"], False), ((2, 3), ["--q", "0.5", "--q", "3"], True),
            ((4, 4), ["--q", "2"], False), ((8, 8), ["--q", "2", "--q", "3"], True),
-           ((16, 16), ["--q", "2"], False)]
+           ((16, 16), ["--q", "2"], False), ((3, 3), ["--q", "1.5"], True)]
 
 
 def _density(rng, n: int, rank: int) -> dict:
@@ -76,7 +77,7 @@ def _probabilities(rng, n: int) -> np.ndarray:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 49 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 50 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
