@@ -135,10 +135,10 @@ def _report(args, results, checks, qs=(), seed=None) -> Report:
 
 def _cmd_analyze_prob(args) -> Report:
     factorization = Factorization(args.dims)
+    split = QuditSplit(factorization, args.split)  # the layout is refused before any file is read
     qs = _tsallis_params(args.q)
     vector = load_probability_vector(args.input)
     view = JointView(vector, factorization)
-    split = QuditSplit(factorization, args.split)
     report = subadditivity_report(view, split)
 
     num_axes = factorization.num_axes
@@ -193,9 +193,8 @@ def _cmd_analyze_prob(args) -> Report:
     return _report(args, results, checks, qs)
 
 
-def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, s: int):
-    reshaped = ReshapedState(state, factorization)
-    split = QuditSplit(factorization, s)
+def _analyze_density_matrix(state: DensityMatrix, split: QuditSplit):
+    reshaped = ReshapedState(state, split.factorization)
     rho_left = partial_trace_right(reshaped, split)
     rho_right = partial_trace_left(reshaped, split)
     s_left, s_right, s_joint, mutual = _kernels.split_entropies(
@@ -226,9 +225,9 @@ def _analyze_density_matrix(state: DensityMatrix, factorization: Factorization, 
 
 
 def _cmd_analyze_dm(args) -> Report:
-    factorization = Factorization(args.dims)
+    split = QuditSplit(Factorization(args.dims), args.split)  # refused before the file is read
     state = load_density_matrix(args.input)
-    return _report(args, *_analyze_density_matrix(state, factorization, args.split))
+    return _report(args, *_analyze_density_matrix(state, split))
 
 
 def _default_grid() -> list[Direction]:
@@ -315,7 +314,7 @@ def _cmd_demo_four_level(args) -> Report:
     amplitudes = np.zeros(4)
     amplitudes[0] = amplitudes[3] = 2.0**-0.5
     state = validate(np.outer(amplitudes, amplitudes))
-    results, checks = _analyze_density_matrix(state, factorization, 1)
+    results, checks = _analyze_density_matrix(state, QuditSplit(factorization, 1))
     results["index_tables"] = tables
     results["state_vector"] = amplitudes
 

@@ -98,8 +98,8 @@ def density_matrix_payload(state: DensityMatrix) -> dict:
     """JSON-ready form of a density matrix (exact float round-trip)."""
     return {
         "dim": state.dim,
-        "re": [[float(v) for v in row] for row in state.matrix.real],
-        "im": [[float(v) for v in row] for row in state.matrix.imag],
+        "re": state.matrix.real.tolist(),
+        "im": state.matrix.imag.tolist(),
     }
 
 

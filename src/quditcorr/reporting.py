@@ -7,7 +7,7 @@ that identical request + seed produces a byte-identical report.
 
 import json
 import math
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -69,17 +69,27 @@ def json_line(obj) -> str:
 
 
 def _render(obj, pad: str) -> str:
-    """json.dumps(jsonable(obj), indent=2, sort_keys=True) in one pass over the
-    common types, visiting values in jsonable's order so that bad input fails
-    alike; `pad` is a newline plus the indentation of obj's line."""
+    """json.dumps(jsonable(obj), indent=2, sort_keys=True) in one pass, by exact type
+    first and isinstance after, visiting values in jsonable's order so that bad input
+    fails alike; `pad` is a newline plus the indentation of obj's line."""
+    kind = type(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if kind is str:
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
     inner = pad + "  "
     separator = "," + inner
-    kind = type(obj)
     if kind is dict:
         if not obj:
             return "{}"
-        fields = {str(k): _render(v, inner) for k, v in obj.items()}
-        body = separator.join(f"{_quote(k)}: {v}" for k, v in sorted(fields.items()))
+        entries = {str(k): _render(v, inner) for k, v in obj.items()}  # a later str(k) wins
+        body = separator.join(f"{_quote(k)}: {v}" for k, v in sorted(entries.items()))
         return "{" + inner + body + pad + "}"
     if kind is list or kind is tuple:
         if not obj:
@@ -96,11 +106,13 @@ def _render(obj, pad: str) -> str:
         return _render(obj.tolist(), pad)
     if isinstance(obj, str):
         return _quote(obj)
-    if isinstance(obj, float) and math.isfinite(obj):
+    if isinstance(obj, int):  # an IntEnum member, say: json.dumps writes int.__repr__
+        return int.__repr__(obj)
+    if isinstance(obj, float) and math.isfinite(obj):  # np.float64 among them
         return float.__repr__(obj)
-    if obj is None or isinstance(obj, int):  # bools are ints
-        return json.dumps(obj)
-    # Infinities, NaN, complex and numpy scalars, dataclasses, container subclasses.
+    if is_dataclass(obj) and not isinstance(obj, type):  # asdict without its deep copy
+        return _render({f.name: getattr(obj, f.name) for f in fields(obj)}, pad)
+    # Infinities, NaN, complex and numpy scalars, container subclasses.
     return _render(jsonable(obj), pad)
 
 

@@ -487,6 +487,10 @@ def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims,
     (["analyze-prob", "--dims", "2,2", "--q", "2", "--q", "1.0000001"],
      "--q 1.0000001 has the label q=1, too close to 1 for a Tsallis margin; "
      "the Shannon results cover q -> 1"),
+    (["analyze-prob", "--dims", "2"], "a split needs at least two axes, got dims (2,)"),
+    (["analyze-prob", "--dims", "2,2", "--split", "3"], "split point s = 3 outside 1..1"),
+    (["analyze-dm", "--dims", "2", "--split", "1"],
+     "a split needs at least two axes, got dims (2,)"),
 ])
 def test_arguments_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
     def fail(path):

@@ -1,6 +1,8 @@
 import json
 import math
 from collections import OrderedDict
+from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -14,8 +16,32 @@ from quditcorr.reporting import CheckRecord, Report, check, jsonable
 
 # allow_nan=False still draws +-inf, -0.0 and subnormals.
 finite_or_inf = st.floats(allow_nan=False)
-keys = st.one_of(st.text(), st.integers())
+# Report keys go through str(), so 1, 1.0, True and "1" may collide; the later one wins.
+keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
 float_rows = st.lists(finite_or_inf, max_size=6)
+
+
+class _Level(IntEnum):
+    LOW = -1
+    HIGH = 2**40
+
+
+class _Label(str):
+    pass
+
+
+@dataclass
+class _Inner:
+    value: object
+
+
+@dataclass
+class _Outer:
+    name: str
+    array: np.ndarray
+    inner: _Inner
+
+
 leaves = st.one_of(
     st.none(),
     st.booleans(),
@@ -25,6 +51,11 @@ leaves = st.one_of(
     st.complex_numbers(allow_nan=False),
     finite_or_inf.map(np.float64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.sampled_from(_Level),
+    st.text().map(_Label),
     float_rows,
     arrays(np.float64, st.integers(0, 6), elements=finite_or_inf),
     arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3)), elements=finite_or_inf),
@@ -36,6 +67,8 @@ values = st.recursive(
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(keys, children, max_size=4),
         st.dictionaries(keys, children, max_size=4).map(OrderedDict),
+        st.builds(_Outer, st.text(), arrays(np.float64, st.integers(0, 3), elements=finite_or_inf),
+                  st.builds(_Inner, children)),
     ),
     max_leaves=25,
 )
@@ -75,6 +108,7 @@ _NAN_LEAVES = st.sampled_from([
     [0.25, math.nan],
     np.array([0.5, math.nan]),
     np.array([[1.0, 0.0], [math.nan, 0.0]]),
+    _Inner(math.nan),
 ])
 
 
@@ -98,6 +132,35 @@ def test_nan_anywhere_raises_like_jsonable(poisoned):
         report.render()
     with pytest.raises(ValueError) as reference:
         _reference(report)
+    assert str(rendered.value) == str(reference.value)
+
+
+def test_keys_equal_after_str_keep_the_later_value():
+    results = {1: "a", "1": "b", "2": "c", 2: "d", None: "e", "None": "f"}
+    report = _report(results)
+    text = report.render()
+    assert text == _reference(report)
+    assert text.count('"1": ') == 1
+    assert json.loads(text)["results"] == {"1": "b", "2": "d", "None": "f"}
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2},
+    frozenset(),
+    object(),
+    np.datetime64("2017-12-22"),
+    CheckRecord,  # a dataclass type, not an instance
+    [0.5, _Inner({"x": {3}})],
+    {"b": math.nan, "a": {1}},  # the first bad value in insertion order, not in key order
+    {"b": {1}, "a": math.nan},
+])
+def test_bad_values_raise_like_jsonable(value):
+    report = _report({"value": value})
+    with pytest.raises((TypeError, ValueError)) as rendered:
+        report.render()
+    with pytest.raises((TypeError, ValueError)) as reference:
+        _reference(report)
+    assert type(rendered.value) is type(reference.value)
     assert str(rendered.value) == str(reference.value)
 
 

@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-50 commands and their inputs (drawn with numpy from a fixed seed) into one
+51 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/50 identical", and exits 1 on any mismatch.
+then "k/51 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -77,7 +77,7 @@ def _probabilities(rng, n: int) -> np.ndarray:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 50 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 51 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -130,6 +130,12 @@ def write_corpus(tmp: Path) -> list:
                                         in zip(theta.tolist(), phi.tolist(), psi_angle.tolist())]))
             argv += ["--grid", str(path)]
         commands.append((argv, out))
+
+    # The heaviest report to render: 1024 four-entry conditional rows, about 10k floats.
+    vector = tmp / "p_4096.json"
+    vector.write_text(json.dumps(_probabilities(rng, 4096).tolist()))
+    commands.append((["analyze-prob", "--input", str(vector), "--dims", "1024,2,2", "--split", "1",
+                      "--q", "2", "--q", "3", "--conditionals"], None))
 
     # Every optional flag left at its default, so the request echoes the defaults.
     commands += [(["analyze-prob", "--input", str(tmp / "p_2.csv"), "--dims", "2,3,2"], None),
