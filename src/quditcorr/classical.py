@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConditioningOnNull, DomainError, UsageError
-from .partition import Factorization, QuditSplit
+from .partition import Factorization, QuditSplit, integer
 from .tolerances import PROB_NEG_CLAMP, PROB_SUM_ATOL, SUBADDITIVITY_ATOL
 
 
@@ -33,6 +33,13 @@ def probability_rows(arr: np.ndarray) -> np.ndarray:
         raise DomainError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_ATOL:.0e}")
     arr /= totals
     return arr
+
+
+def block_marginals(rows: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (leading, trailing) block sums of (..., N) rows whose leading block of
+    d_left levels is the fast index: rows.reshape(..., N // d_left, d_left) summed over -2, -1."""
+    blocks = rows.reshape(*rows.shape[:-1], rows.shape[-1] // d_left, d_left)
+    return blocks.sum(axis=-2), blocks.sum(axis=-1)
 
 
 class ProbabilityVector:
@@ -96,7 +103,7 @@ class TsallisParam:
 
 def _normalize_axes(axes, num_axes: int, what: str) -> tuple[int, ...]:
     try:
-        out = tuple(int(a) for a in axes)
+        out = tuple(integer(a, "axis") for a in axes)
     except TypeError:
         raise UsageError(f"{what} must be an iterable of axis labels") from None
     if not out:
@@ -131,7 +138,7 @@ def conditional(view: JointView, given_axes, target_axes, given_values) -> Proba
     target = _normalize_axes(target_axes, m, "target_axes")
     if set(given) & set(target):
         raise UsageError(f"given and target axes overlap: {sorted(set(given) & set(target))}")
-    values = tuple(int(v) for v in given_values)
+    values = tuple(integer(v, "conditioning value") for v in given_values)
     if len(values) != len(given):
         raise UsageError(
             f"got {len(values)} conditioning values for {len(given)} axes"
@@ -221,9 +228,7 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
     """
     if split.factorization != view.factorization:
         raise UsageError("split does not belong to the view's factorization")
-    m = view.factorization.num_axes
-    left = marginal(view, range(1, split.s + 1))
-    right = marginal(view, range(split.s + 1, m + 1))
+    left, right = map(ProbabilityVector, block_marginals(view.base.probs, split.dim_left))
     s_left, s_right, s_joint, mutual = _kernels.split_entropies(
         left.probs, right.probs, view.base.probs
     )
@@ -249,22 +254,20 @@ def classical_ssa_check(view: JointView, blocks) -> SsaReport:
     """Strong subadditivity S(1,2) + S(2,3) >= S(1,2,3) + S(2) for a grouping
     of the axes into three consecutive nonempty blocks.
 
-    `blocks` gives the number of axes in each block and must sum to M.
+    `blocks` gives the number of axes in each block and must sum to M.  With d1 and d12
+    the levels of blocks 1 and 1-2, p12 leads at d12, p23 trails at d1, p2 trails p12 at d1.
     """
-    sizes = tuple(int(b) for b in blocks)
+    sizes = tuple(integer(b, "block size") for b in blocks)
     if len(sizes) != 3:
         raise UsageError(f"exactly three blocks required, got {len(sizes)}")
     m = view.factorization.num_axes
     if any(b < 1 for b in sizes) or sum(sizes) != m:
         raise UsageError(f"block sizes {sizes} do not partition {m} axes")
     b1, b2, _ = sizes
-    axes_12 = range(1, b1 + b2 + 1)
-    axes_23 = range(b1 + 1, m + 1)
-    axes_2 = range(b1 + 1, b1 + b2 + 1)
-    lhs = _kernels.shannon(marginal(view, axes_12).probs) + _kernels.shannon(
-        marginal(view, axes_23).probs
-    )
-    rhs = _kernels.shannon(view.base.probs) + _kernels.shannon(
-        marginal(view, axes_2).probs
-    )
+    d1, d12 = (QuditSplit(view.factorization, s).dim_left for s in (b1, b1 + b2))
+    p12 = probability_rows(block_marginals(view.base.probs, d12)[0])
+    p23 = probability_rows(block_marginals(view.base.probs, d1)[1])
+    p2 = probability_rows(block_marginals(p12, d1)[1])
+    lhs = _kernels.shannon(p12) + _kernels.shannon(p23)
+    rhs = _kernels.shannon(view.base.probs) + _kernels.shannon(p2)
     return SsaReport(lhs=lhs, rhs=rhs, holds=bool(lhs - rhs >= -SUBADDITIVITY_ATOL))

@@ -12,18 +12,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._kernels import relative_shannon, relative_tsallis, shannon, split_entropies
-from .classical import probability_rows
+from .classical import block_marginals, probability_rows
 from .errors import DomainError
-from .partition import Factorization
 from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, certify_stack, validate_stack
 from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions, zx_distributions
 from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, ginibre_states
 from .sampling import random_directions, random_factorizations
 from .tolerances import QUANTUM_MUTUAL_ATOL, SUBADDITIVITY_ATOL
-from .tomography import marginal_pair, spin_rep, tomogram_diagonals, tomogram_values
+from .tomography import spin_rep, tomogram_diagonals, tomogram_values
 
 BLOCK = 256  # samples per stack; 1000-sample stacks raise peak RSS by about 2.5 MB
-_TWO_QUBITS = Factorization((2, 2))  # the tomographic family's spin 3/2
 
 
 def _present(values: np.ndarray) -> np.ndarray:
@@ -122,11 +120,11 @@ def draw_tomographic(rng, size):
 
 
 def tomographic_margin(block):
-    """Mutual tomographic information of each state at its own direction; the block
-    is one slab of the tomogram kernel, so each margin equals the scalar API's."""
+    """Mutual tomographic information of each state at its own direction, split 2 x 2; the
+    block is one slab of the tomogram kernel, so each margin equals the scalar API's."""
     states, theta, phi = block
     values, _ = tomogram_values(tomogram_diagonals(spin_rep(1.5), theta, phi, states), states)
-    return split_entropies(*marginal_pair(values, _TWO_QUBITS), values)[3]
+    return split_entropies(*map(probability_rows, block_marginals(values, 2)), values)[3]
 
 
 def family_table(qs) -> list[Family]:

@@ -16,6 +16,17 @@ from dataclasses import dataclass, field
 from .errors import DomainError, UsageError
 
 
+def integer(value, what: str, positive: bool = False) -> int:
+    """int(value) if it is integral (2.0, np.int64(2)) and >= 1 if `positive`; else DomainError."""
+    try:
+        whole = int(value) == value and (value >= 1 or not positive)
+    except (TypeError, ValueError, OverflowError):  # None, NaN, +-inf, "a"
+        whole = False
+    if not whole:
+        raise DomainError(f"{what} = {value!r}, must be an integer" + (" >= 1" if positive else ""))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Ordered subsystem dimensions; `total` is the flat range they span.
@@ -31,10 +42,7 @@ class Factorization:
         dims = tuple(self.dims)
         if not dims:
             raise DomainError("a factorization needs at least one dimension")
-        for axis, d in enumerate(dims, start=1):
-            if int(d) != d or int(d) < 1:
-                raise DomainError(f"dimension X{axis} = {d!r}, must be an integer >= 1")
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(integer(d, f"dimension X{k}", positive=True) for k, d in enumerate(dims, 1))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "total", math.prod(dims))
 
@@ -58,7 +66,7 @@ class MultiIndex:
     factorization: Factorization
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(integer(c, f"coordinate x{axis}") for axis, c in enumerate(self.coords, 1))
         dims = self.factorization.dims
         if len(coords) != len(dims):
             raise DomainError(
@@ -81,6 +89,7 @@ class QuditSplit:
         dims = self.factorization.dims
         if len(dims) < 2:
             raise DomainError(f"a split needs at least two axes, got dims {dims}")
+        object.__setattr__(self, "s", integer(self.s, "split point s"))
         if not 1 <= self.s < len(dims):
             raise DomainError(f"split point s = {self.s} outside 1..{len(dims) - 1}")
 
@@ -108,9 +117,10 @@ def decompose(y: int, factorization: Factorization) -> MultiIndex:
     For two axes this reproduces the explicit mod formulas with the
     representative of y mod X1 taken in {1, ..., X1}.
     """
+    y = integer(y, "flat index")
     if not 1 <= y <= factorization.total:
         raise DomainError(f"flat index {y} outside 1..{factorization.total}")
-    rem = int(y) - 1
+    rem = y - 1
     coords = []
     for d in factorization.dims:
         coords.append(rem % d + 1)
@@ -128,8 +138,8 @@ def split_index(y: int, split: QuditSplit) -> tuple[int, int]:
     Both outputs are 1-based; the pair is bijective in y with the left
     composite varying fastest, matching `compose`.
     """
-    total = split.factorization.total
+    total, y = split.factorization.total, integer(y, "flat index")
     if not 1 <= y <= total:
         raise DomainError(f"flat index {y} outside 1..{total}")
     left = split.dim_left
-    return (int(y) - 1) % left + 1, (int(y) - 1) // left + 1
+    return (y - 1) % left + 1, (y - 1) // left + 1

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .classical import ProbabilityVector, TsallisParam
+from .classical import ProbabilityVector, TsallisParam, block_marginals, probability_rows
 from .errors import DomainError, UsageError
 from .partition import Factorization
 from .quantum import DensityMatrix
@@ -266,12 +266,9 @@ def _check_partition(factorization: Factorization, size: int) -> None:
 
 
 def marginal_pair(values: np.ndarray, factorization: Factorization):
-    """Both marginals of a validated table as arrays, renormalized exactly as
-    ProbabilityVector would, without validating them again."""
+    """Both marginals of (..., N) tables as arrays: the block sums, through probability_rows."""
     _check_partition(factorization, values.shape[-1])
-    tensor = values.reshape(*values.shape[:-1], *factorization.dims[::-1])  # first axis fastest
-    first, second = tensor.sum(axis=-2), tensor.sum(axis=-1)
-    return first / first.sum(axis=-1, keepdims=True), second / second.sum(axis=-1, keepdims=True)
+    return tuple(map(probability_rows, block_marginals(values, factorization.dims[0])))
 
 
 def tomographic_marginals(

@@ -11,7 +11,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from quditcorr import Factorization, MultiIndex, compose, decompose
+from quditcorr import Factorization, MultiIndex, QuditSplit, compose, decompose, split_index
 from quditcorr._kernels import split_entropies
 from quditcorr.quantum import KEEP_LEADING, KEEP_TRAILING, block_view, validate_stack
 
@@ -29,6 +29,33 @@ def tsallis_ref(values, q: float) -> float:
 def all_coords(dims):
     """Every 1-based coordinate tuple over `dims` (any order)."""
     return iter_product(*[range(1, d + 1) for d in dims])
+
+
+def split_marginals_ref(probs, split: QuditSplit) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized (left, right) block marginals: each P(y) goes to the composite
+    pair (a, b) = split_index(y, split), and every bin is summed exactly with fsum."""
+    left = [[] for _ in range(split.dim_left)]
+    right = [[] for _ in range(split.dim_right)]
+    for y, p in enumerate(probs, start=1):
+        a, b = split_index(y, split)
+        left[a - 1].append(p)
+        right[b - 1].append(p)
+    return np.array([math.fsum(v) for v in left]), np.array([math.fsum(v) for v in right])
+
+
+def conditional_information_ref(probs, dims, blocks) -> float:
+    """I(1:3|2) = S(12) + S(23) - S(123) - S(2) in nats, with the axes grouped into
+    three consecutive blocks of `blocks` axes: each P(y) is added, by its decomposed
+    coordinates, to the marginals of blocks 1-2, 2-3 and 2."""
+    f = Factorization(tuple(dims))
+    b1, b2, _ = blocks
+    sums = ({}, {}, {})  # p12, p23, p2 keyed by the kept coordinates
+    for y, p in enumerate(probs, start=1):
+        coords = decompose(y, f).coords
+        for table, kept in zip(sums, (coords[: b1 + b2], coords[b1:], coords[b1 : b1 + b2])):
+            table.setdefault(kept, []).append(p)
+    p12, p23, p2 = ([math.fsum(v) for v in table.values()] for table in sums)
+    return shannon_ref(p12) + shannon_ref(p23) - shannon_ref(probs) - shannon_ref(p2)
 
 
 def brute_force_reduction(rho: np.ndarray, dims, s: int, keep: str) -> np.ndarray:

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density, shannon_ref, tsallis_ref
+from helpers import (
+    conditional_information_ref,
+    random_density,
+    shannon_ref,
+    split_marginals_ref,
+    tsallis_ref,
+)
 from quditcorr import _kernels
+from quditcorr.classical import block_marginals
 from quditcorr import (
     ConditioningOnNull,
     DomainError,
@@ -33,6 +40,19 @@ LN2 = math.log(2.0)
 
 def view_of(values, dims):
     return JointView(ProbabilityVector(values), Factorization(dims))
+
+
+def _with_zeros(rng, n):
+    """A Dirichlet P(y) over n outcomes with a quarter of its entries exactly zero."""
+    p = rng.dirichlet(np.ones(n))
+    p[rng.permutation(n)[: n // 4]] = 0.0
+    return p / p.sum()
+
+
+# Every layout of tools/same_bytes.py, plus a long leading block and a leading
+# block larger than the trailing one, so a swapped sum cannot pass unnoticed.
+_BLOCK_LAYOUTS = [(2, 2), (3, 4), (2, 3, 2), (4, 16), (4, 4, 4), (16, 16), (2, 8, 16),
+                  (2, 3, 2, 2), (1024, 2, 2), (4, 3)]
 
 
 class TestProbabilityVector:
@@ -97,6 +117,35 @@ class TestMarginal:
             view = view_of(rng.dirichlet(np.ones(12)), (2, 3, 2))
             for axes in [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3)]:
                 assert abs(marginal(view, axes).probs.sum() - 1.0) <= 1e-12
+
+
+class TestBlockMarginals:
+    @pytest.mark.parametrize(
+        "dims, s", [(dims, s) for dims in _BLOCK_LAYOUTS for s in range(1, len(dims))]
+    )
+    def test_matches_the_loop_oracle_and_marginal(self, dims, s):
+        rng = np.random.default_rng(sum(dims) * 10 + s)
+        view = view_of(_with_zeros(rng, math.prod(dims)), dims)
+        split = QuditSplit(view.factorization, s)
+        leading, trailing = block_marginals(view.base.probs, split.dim_left)
+        left_ref, right_ref = split_marginals_ref(view.base.probs, split)
+        np.testing.assert_allclose(leading, left_ref, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(trailing, right_ref, rtol=0.0, atol=1e-15)
+        # Normalized, they are the general-axes marginals bit for bit.
+        left = marginal(view, range(1, s + 1)).probs
+        right = marginal(view, range(s + 1, len(dims) + 1)).probs
+        assert ProbabilityVector(leading).probs.tobytes() == left.tobytes()
+        assert ProbabilityVector(trailing).probs.tobytes() == right.tobytes()
+
+    def test_stacked_rows_split_one_at_a_time(self):
+        rng = np.random.default_rng(12)
+        rows = np.array([_with_zeros(rng, 12) for _ in range(5)]).reshape(5, 1, 12)
+        leading, trailing = block_marginals(rows, 4)
+        assert leading.shape == (5, 1, 4) and trailing.shape == (5, 1, 3)
+        for k, row in enumerate(rows[:, 0]):
+            one_leading, one_trailing = block_marginals(row, 4)
+            assert leading[k, 0].tobytes() == one_leading.tobytes()
+            assert trailing[k, 0].tobytes() == one_trailing.tobytes()
 
 
 class TestConditional:
@@ -393,6 +442,20 @@ class TestClassicalSsa:
         rng = np.random.default_rng(19)
         view = view_of(rng.dirichlet(np.ones(16)), (2, 2, 2, 2))
         report = classical_ssa_check(view, (1, 2, 1))
+        assert report.holds
+
+    @pytest.mark.parametrize(
+        "dims, blocks",
+        [(dims, blocks) for dims in [(2, 3, 2), (4, 4, 4), (2, 8, 16), (3, 2, 4), (2, 3, 2, 2),
+                                     (4, 3, 2, 2), (1024, 2, 2)]
+         for blocks in ([(1, 1, 1)] if len(dims) == 3 else [(2, 1, 1), (1, 2, 1), (1, 1, 2)])],
+    )
+    def test_matches_the_loop_oracle(self, dims, blocks):
+        rng = np.random.default_rng(sum(dims) + 100 * blocks[0] + 10 * blocks[1])
+        probs = _with_zeros(rng, math.prod(dims))
+        report = classical_ssa_check(view_of(probs, dims), blocks)
+        expected = conditional_information_ref(ProbabilityVector(probs).probs, dims, blocks)
+        assert abs((report.lhs - report.rhs) - expected) <= 1e-12
         assert report.holds
 
     def test_wrong_block_count(self):

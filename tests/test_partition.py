@@ -1,16 +1,40 @@
+import math
+
 import numpy as np
 import pytest
 
 from quditcorr import (
     DomainError,
     Factorization,
+    JointView,
     MultiIndex,
+    ProbabilityVector,
     QuditSplit,
     UsageError,
+    classical_ssa_check,
     compose,
+    conditional,
     decompose,
+    marginal,
     split_index,
 )
+
+_F = Factorization((2, 3, 2))
+_VIEW = JointView(ProbabilityVector(np.full(12, 1.0 / 12.0)), _F)
+# Every entry point that reads an integer from its caller, fed one value for which 1
+# is valid: dims, coords, the split point, flat indices, axes, conditioning values and
+# SSA block sizes.
+_INTEGER_ENTRY_POINTS = {
+    "dimension": lambda v: Factorization((2, v)).dims,
+    "coordinate": lambda v: MultiIndex((v, 1, 1), _F).coords,
+    "split point": lambda v: QuditSplit(_F, v).dim_left,
+    "decompose": lambda v: decompose(v, _F).coords,
+    "split_index": lambda v: split_index(v, QuditSplit(_F, 1)),
+    "marginal axis": lambda v: marginal(_VIEW, (v,)).probs.tolist(),
+    "given axis": lambda v: conditional(_VIEW, (v,), (2,), (1,)).probs.tolist(),
+    "conditioning value": lambda v: conditional(_VIEW, (1,), (2,), (v,)).probs.tolist(),
+    "ssa block size": lambda v: classical_ssa_check(_VIEW, (v, 1, 1)),
+}
 
 
 class TestFactorization:
@@ -147,3 +171,24 @@ class TestRoundTrip:
         b = decompose(4, Factorization((3, 2))).coords
         assert a == (2, 2) and b == (1, 2)
         assert a != b
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+    def test_non_integral_values_raise_domain_error(self, entry, value):
+        with pytest.raises(DomainError, match=f"= {value!r}, must be an integer"):
+            _INTEGER_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", sorted(_INTEGER_ENTRY_POINTS))
+    def test_integral_values_are_accepted(self, entry):
+        call = _INTEGER_ENTRY_POINTS[entry]
+        expected = call(1)
+        for value in (1.0, np.int64(1), np.float64(1.0)):
+            assert call(value) == expected
+
+    def test_factorization_message_is_unchanged(self):
+        with pytest.raises(DomainError) as exc:
+            Factorization((2, 2.5))
+        assert str(exc.value) == "dimension X2 = 2.5, must be an integer >= 1"
+        assert type(Factorization((2.0, np.int64(3))).dims[0]) is int
