@@ -41,6 +41,7 @@ from .quantum import (
     DensityMatrix,
     ReshapedState,
     SeparabilityVerdict,
+    certify,
     chsh_max,
     correlation_matrix,
     linear_entropy,

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConditioningOnNull, DomainError, UsageError
-from .partition import Factorization, QuditSplit, integer
+from .partition import Factorization, QuditSplit, integer, integers
 from .tolerances import PROB_NEG_CLAMP, PROB_SUM_ATOL, SUBADDITIVITY_ATOL
 
 
@@ -102,10 +102,7 @@ class TsallisParam:
 
 
 def _normalize_axes(axes, num_axes: int, what: str) -> tuple[int, ...]:
-    try:
-        out = tuple(integer(a, "axis") for a in axes)
-    except TypeError:
-        raise UsageError(f"{what} must be an iterable of axis labels") from None
+    out = tuple(integer(a, "axis") for a in integers(axes, what))
     if not out:
         raise UsageError(f"{what} is empty")
     if len(set(out)) != len(out):
@@ -138,7 +135,7 @@ def conditional(view: JointView, given_axes, target_axes, given_values) -> Proba
     target = _normalize_axes(target_axes, m, "target_axes")
     if set(given) & set(target):
         raise UsageError(f"given and target axes overlap: {sorted(set(given) & set(target))}")
-    values = tuple(integer(v, "conditioning value") for v in given_values)
+    values = tuple(integer(v, "conditioning value") for v in integers(given_values, "given_values"))
     if len(values) != len(given):
         raise UsageError(
             f"got {len(values)} conditioning values for {len(given)} axes"
@@ -257,7 +254,7 @@ def classical_ssa_check(view: JointView, blocks) -> SsaReport:
     `blocks` gives the number of axes in each block and must sum to M.  With d1 and d12
     the levels of blocks 1 and 1-2, p12 leads at d12, p23 trails at d1, p2 trails p12 at d1.
     """
-    sizes = tuple(integer(b, "block size") for b in blocks)
+    sizes = tuple(integer(b, "block size") for b in integers(blocks, "blocks"))
     if len(sizes) != 3:
         raise UsageError(f"exactly three blocks required, got {len(sizes)}")
     m = view.factorization.num_axes

@@ -30,12 +30,14 @@ from .io import (
     load_density_matrix,
     load_direction_grid,
     load_probability_vector,
+    read_density_matrix,
 )
 from .partition import Factorization, MultiIndex, QuditSplit, compose, decompose
 from .quantum import (
     DensityMatrix,
     ReshapedState,
     _linear_entropy,
+    certify,
     chsh_max,
     partial_trace_left,
     partial_trace_right,
@@ -240,7 +242,7 @@ def _cmd_tomogram_sweep(args) -> Report:
     factorization = Factorization(args.dims)
     check_two_axes(factorization)  # --dims and --q are refused before any file is read
     qs = _tsallis_params(args.q)
-    state = load_density_matrix(args.input)
+    state = certify(read_density_matrix(args.input))  # the sweep never reads the spectrum
     rep = spin_rep((state.dim - 1) / 2.0)
     grid = load_direction_grid(args.grid) if args.grid else _default_grid()
     sweep = direction_sweep(state, rep, factorization, grid, qs)

@@ -5,6 +5,10 @@ row-major N x N arrays; the writer emits floats via repr, which round-trips
 exactly.  Probability vectors come from a JSON array (.json) or one value
 per line (anything else).  Direction grids are JSON arrays of
 {"theta": ..., "phi": ..., "psi": optional}.
+
+read_density_matrix parses a density-matrix file; load_density_matrix also
+validates the state (quantum.validate), and tomogram-sweep certifies it instead
+(quantum.certify), since it never reads the spectrum.
 """
 
 import json
@@ -79,7 +83,8 @@ def load_probability_vector(path) -> ProbabilityVector:
     return ProbabilityVector(values)
 
 
-def load_density_matrix(path) -> DensityMatrix:
+def read_density_matrix(path) -> np.ndarray:
+    """The complex matrix in the file, checked for form but not validated as a state."""
     path = Path(path)
     data, booleans = _read_json(path)
     if not isinstance(data, dict) or "re" not in data:
@@ -92,7 +97,11 @@ def load_density_matrix(path) -> DensityMatrix:
         raise UsageError(f"{path}: 're' and 'im' must be matching square matrices")
     if declared is not None and declared != re.shape[0]:  # a fractional dim never matches
         raise UsageError(f"{path}: declared dim {data['dim']} != matrix dimension {re.shape[0]}")
-    return validate(re + 1.0j * im)
+    return re + 1.0j * im
+
+
+def load_density_matrix(path) -> DensityMatrix:
+    return validate(read_density_matrix(path))
 
 
 def density_matrix_payload(state: DensityMatrix) -> dict:

@@ -27,6 +27,14 @@ def integer(value, what: str, positive: bool = False) -> int:
     return int(value)
 
 
+def integers(values, what: str) -> tuple:
+    """tuple(values) for an argument that must be a sequence; a scalar raises UsageError."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise UsageError(f"{what} must be a sequence, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Ordered subsystem dimensions; `total` is the flat range they span.
@@ -39,7 +47,7 @@ class Factorization:
     total: int = field(init=False)
 
     def __post_init__(self):
-        dims = tuple(self.dims)
+        dims = integers(self.dims, "dims")
         if not dims:
             raise DomainError("a factorization needs at least one dimension")
         dims = tuple(integer(d, f"dimension X{k}", positive=True) for k, d in enumerate(dims, 1))
@@ -66,7 +74,8 @@ class MultiIndex:
     factorization: Factorization
 
     def __post_init__(self):
-        coords = tuple(integer(c, f"coordinate x{axis}") for axis, c in enumerate(self.coords, 1))
+        coords = integers(self.coords, "coords")
+        coords = tuple(integer(c, f"coordinate x{axis}") for axis, c in enumerate(coords, 1))
         dims = self.factorization.dims
         if len(coords) != len(dims):
             raise DomainError(

@@ -132,21 +132,28 @@ def wigner_d(rep: SpinRep, theta) -> np.ndarray:
     """
     angles = np.multiply.outer(theta, rep._factors[2])
     d, work = np.empty((2, *angles.shape, rep.dim))
-    _fill_wigner_d(rep, np.cos(angles), np.sin(angles), d, work)
+    _wigner_d_filler(rep, d, work)(np.cos(angles)[..., None, :], np.sin(angles)[..., None, :])
     return d
 
 
-def _fill_wigner_d(rep: SpinRep, cos, sin, out, work) -> None:
-    """Write exp(i theta Jy) into `out` from cos(theta omega) and sin(theta omega),
-    each (..., N); `work` is a (..., N, N) array whose top ceil(N/2) rows are overwritten."""
-    q, turn, _ = rep._factors
-    rows = rep.dim - rep.dim // 2
+def _wigner_d_filler(rep: SpinRep, out, work):
+    """fill(cos, sin), which writes exp(i theta Jy) into `out` from cos(theta omega) and
+    sin(theta omega), each (..., 1, N), and overwrites the top ceil(N/2) rows of the
+    (..., N, N) `work`; every slice it reads or writes is taken once, here."""
+    (q, turn, _), half = rep._factors, rep.dim // 2
+    rows = rep.dim - half
+    q_top, turn_top, q_t, signs = q[:rows], turn[:rows], q.T, rep._mirror_signs
     top, term = work[..., :rows, :], out[..., :rows, :]
-    np.multiply(q[:rows], cos[..., None, :], out=top)
-    np.multiply(turn[:rows], sin[..., None, :], out=term)
-    top += term
-    np.matmul(top, q.T, out=term)
-    np.multiply(term[..., :rep.dim // 2, :], rep._mirror_signs, out=out[..., :rows - 1:-1, ::-1])
+    upper, mirror = out[..., :half, :], out[..., :rows - 1:-1, ::-1]
+
+    def fill(cos, sin) -> None:
+        np.multiply(q_top, cos, out=top)
+        np.multiply(turn_top, sin, out=term)
+        np.add(top, term, out=top)
+        np.matmul(top, q_t, out=term)
+        np.multiply(upper, signs, out=mirror)
+
+    return fill
 
 
 def rotation_matrix(rep: SpinRep, direction: Direction) -> np.ndarray:
@@ -205,20 +212,22 @@ def tomogram_diagonals(rep: SpinRep, theta, phi, rho: np.ndarray) -> np.ndarray:
     a row never depends on the others.
     """
     angles = np.multiply.outer(theta, rep._factors[2])
-    cos = np.cos(angles)
-    sin = np.sin(angles, out=angles)
+    cos = np.cos(angles)[..., None, :]
+    sin = np.sin(angles, out=angles)[..., None, :]
     phase = np.exp(1.0j * np.multiply.outer(phi, rep.m_values))
-    out = np.empty(cos.shape)
+    column, row = phase[..., :, None], np.conj(phase)[..., None, :]
+    out = np.empty(angles.shape)
     # One work array of three real planes: the first two hold P rho P^dagger, and once
     # its real part is copied into the third, the product d @ real and d.
     work = np.empty((*rho.shape[:-2], 3, *rho.shape[-2:]))
     product, d, real = (work[..., plane, :, :] for plane in range(3))
     phased = work[..., :2, :, :].reshape(*rho.shape[:-1], 2 * rho.shape[-1]).view(complex)
-    for k in np.ndindex(cos.shape[:cos.ndim + 1 - rho.ndim]):
-        np.multiply(phase[k][..., :, None], np.conj(phase[k])[..., None, :], out=phased)
+    fill = _wigner_d_filler(rep, d, product)
+    for k in np.ndindex(out.shape[:out.ndim + 1 - rho.ndim]):
+        np.multiply(column[k], row[k], out=phased)
         np.multiply(rho, phased, out=phased)
         np.copyto(real, phased.real)
-        _fill_wigner_d(rep, cos[k], sin[k], d, product)
+        fill(cos[k], sin[k])
         np.matmul(d, real, out=product)
         product *= d
         product.sum(axis=-1, out=out[k])

@@ -23,6 +23,7 @@ from quditcorr import (
     ReshapedState,
     TraceNotOne,
     TsallisParam,
+    certify,
     mutual_quantum_information,
     mutual_tomographic_information,
     qubit_from_probabilities,
@@ -33,6 +34,7 @@ from quditcorr import (
     spin_rep,
     subadditivity_report,
     tomogram,
+    validate,
 )
 from quditcorr import fuzz
 from quditcorr.classical import probability_rows
@@ -251,6 +253,7 @@ def test_bad_state_in_stack_raises_like_density_matrix(case):
         DensityMatrix(bad)
     for check in (validate_stack, certify_stack):
         _raises_like(lambda: DensityMatrix(bad), lambda: check(_with_row(_STATES, bad)))
+    _raises_like(lambda: DensityMatrix(bad), lambda: certify(bad))
 
 
 def _rotated(eigenvalues):
@@ -283,14 +286,20 @@ _EDGE_STATES = {
 def test_certify_stack_decides_like_validate_stack(case):
     row, error = _EDGE_STATES[case]
     stack = _STATES if row is None else _with_row(_STATES, row)
+    state = stack[2]  # the edge row, or a full-rank draw
     if error is not None:
         with pytest.raises(error):
             validate_stack(stack)
         _raises_like(lambda: validate_stack(stack), lambda: certify_stack(stack))
+        _raises_like(lambda: validate(state), lambda: certify(state))
     else:
         expected, got = validate_stack(stack)[0], certify_stack(stack)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        expected, got = validate(state), certify(state)
+        assert np.array_equal(got.matrix, expected.matrix)
+        assert np.array_equal(got.eigenvalues, expected.eigenvalues)
+        assert not got.eigenvalues.flags.writeable and got.eigenvalues is got.eigenvalues
 
 
 def test_qubit_draw_is_the_scalar_reconstruction_of_bloch_ball_probabilities():
@@ -310,6 +319,7 @@ def test_spectrum_free_draws_take_no_spectra(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for draw in (draw_qubits, draw_qutrits, draw_tomographic):
         draw(np.random.default_rng(1), BLOCK)
+    certify(_STATES[0])
     assert calls == []
     certify_stack(_with_row(_STATES, np.diag([0.5, 0.5, 0.0])))
     assert calls == [_STATES.shape]

@@ -496,7 +496,8 @@ def test_arguments_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch
     def fail(path):
         raise AssertionError(f"{path} was read before the arguments were checked")
 
-    for loader in ("load_density_matrix", "load_probability_vector", "load_direction_grid"):
+    for loader in ("load_density_matrix", "read_density_matrix", "load_probability_vector",
+                   "load_direction_grid"):
         monkeypatch.setattr(cli, loader, fail)
     missing = str(tmp_path / "missing.json")
     argv = [missing if a == "{missing}" else a for a in argv]
@@ -504,6 +505,24 @@ def test_arguments_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# One parsed 4 x 4 matrix per refusal of validate, each of which certify must repeat.
+_REFUSED_STATES = {
+    "not_hermitian": np.diag([0.4, 0.3, 0.2, 0.1]) + np.triu(np.full((4, 4), 0.01), 1),
+    "trace": np.diag([0.4, 0.3, 0.2, 0.2]),
+    "not_psd": np.diag([0.6, 0.3, 0.2, -0.1]),
+    "nan": np.array(_nan_diagonal_4x4()["re"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_STATES))
+def test_sweep_refuses_a_state_as_analyze_dm_does(tmp_path, capsys, case):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps({"dim": 4, "re": _REFUSED_STATES[case].tolist()}))
+    expected = run_cli(capsys, "analyze-dm", "--input", str(path), "--dims", "2,2")
+    assert expected[0] == 2 and expected[1] == "" and expected[2].startswith("error: ")
+    assert run_cli(capsys, "tomogram-sweep", "--input", str(path), "--dims", "2,2") == expected
 
 
 _GRID = [{"theta": 0.1, "phi": 0.2}]

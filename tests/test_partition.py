@@ -16,6 +16,7 @@ from quditcorr import (
     conditional,
     decompose,
     marginal,
+    product_state,
     split_index,
 )
 
@@ -35,6 +36,22 @@ _INTEGER_ENTRY_POINTS = {
     "conditioning value": lambda v: conditional(_VIEW, (1,), (2,), (v,)).probs.tolist(),
     "ssa block size": lambda v: classical_ssa_check(_VIEW, (v, 1, 1)),
 }
+
+# Every entry point that iterates a sequence argument, fed a scalar in its place.
+_SEQUENCE_ENTRY_POINTS = {
+    "Factorization": lambda: Factorization(4),
+    "MultiIndex": lambda: MultiIndex(1, _F),
+    "marginal": lambda: marginal(_VIEW, 1),
+    "conditional": lambda: conditional(_VIEW, (1,), (2,), 1),
+    "classical_ssa_check": lambda: classical_ssa_check(_VIEW, 3),
+    "product_state": lambda: product_state(5),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SEQUENCE_ENTRY_POINTS))
+def test_scalar_where_a_sequence_belongs_is_a_usage_error(entry):
+    with pytest.raises(UsageError, match=r"must be a sequence, got \d$"):
+        _SEQUENCE_ENTRY_POINTS[entry]()
 
 
 class TestFactorization:

@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-53 commands and their inputs (drawn with numpy from a fixed seed) into one
+56 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/53 identical", and exits 1 on any mismatch.
+then "k/56 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -77,7 +77,7 @@ def _probabilities(rng, n: int) -> np.ndarray:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 53 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 56 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -161,6 +161,17 @@ def write_corpus(tmp: Path) -> list:
                    None) for grid in ("bool_grid.json", "latin1_grid.json")]
     commands.append((["tomogram-sweep", "--input", str(tmp / "spin_16.json"), "--dims", "2,2,4"],
                      None))
+    # States the sweep certifies and refuses: anti-Hermitian part, trace 4/3, and eigenvalues
+    # 0.55, 0.25, 0.25 and -0.05.
+    swap = np.zeros((4, 4))
+    swap[0, 1] = 0.3
+    refused = {"skew_4.json": {"dim": 4, "re": (np.eye(4) / 4).tolist(), "im": swap.tolist()},
+               "trace_4.json": {"dim": 4, "re": (np.eye(4) / 3).tolist()},
+               "not_psd_4.json": {"dim": 4, "re": (np.eye(4) / 4).tolist(),
+                                  "im": (swap - swap.T).tolist()}}
+    for name, payload in refused.items():
+        (tmp / name).write_text(json.dumps(payload))
+        commands.append((["tomogram-sweep", "--input", str(tmp / name), "--dims", "2,2"], None))
 
     # The larger block first, so a swapped leading and trailing block sum cannot pass.
     out = str(tmp / "spin_6_3x2_records.jsonl")
