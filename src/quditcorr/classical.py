@@ -165,8 +165,7 @@ def split_conditionals(view: JointView, split: QuditSplit) -> tuple[list, list]:
     """Both block Bayes tables, p(left | right = b) for b = 1..dim_right and
     p(right | left = a) for a = 1..dim_left: each row is bit for bit what
     `conditional` gives for that event, or None where the event has zero mass."""
-    if split.factorization != view.factorization:
-        raise UsageError("split does not belong to the view's factorization")
+    split.check_belongs(view.factorization, "view")
     table = view.base.probs.reshape(split.dim_right, split.dim_left)
     # Contiguous rows, so every row total is the same pairwise sum as in `conditional`.
     return _conditional_rows(table), _conditional_rows(table.T.copy())
@@ -223,8 +222,7 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
     A violation beyond tolerance is reported, not raised: it signals
     corrupted upstream data rather than a caller mistake.
     """
-    if split.factorization != view.factorization:
-        raise UsageError("split does not belong to the view's factorization")
+    split.check_belongs(view.factorization, "view")
     left, right = map(ProbabilityVector, block_marginals(view.base.probs, split.dim_left))
     s_left, s_right, s_joint, mutual = _kernels.split_entropies(
         left.probs, right.probs, view.base.probs

@@ -14,7 +14,7 @@ import numpy as np
 from ._kernels import relative_shannon, relative_tsallis, shannon, split_entropies
 from .classical import block_marginals, probability_rows
 from .errors import DomainError
-from .quantum import KEEP_LEADING, KEEP_TRAILING, block_view, certify_stack, validate_stack
+from .quantum import block_reductions, certify_stack, validate_stack
 from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions, zx_distributions
 from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, ginibre_states
 from .sampling import random_directions, random_factorizations
@@ -94,9 +94,7 @@ def quantum_margin(block):
         entropies[2, rows] = shannon(spectra)[:, None]
         for dl in _present(d_left[rows][has_split[rows]]):
             sample, split = np.nonzero((d_left[rows] == dl) & has_split[rows])
-            blocks = block_view(states[sample], int(dl), states.shape[-1] // int(dl))
-            for side, keep in enumerate((KEEP_LEADING, KEEP_TRAILING)):
-                reduced = np.einsum(keep, blocks)
+            for side, reduced in enumerate(block_reductions(states[sample], int(dl))):
                 slots = np.ravel_multi_index((side, rows[sample], split), entropies.shape)
                 stacks.setdefault(reduced.shape[-1], []).append((slots, reduced))
     for parts in stacks.values():

@@ -102,6 +102,11 @@ class QuditSplit:
         if not 1 <= self.s < len(dims):
             raise DomainError(f"split point s = {self.s} outside 1..{len(dims) - 1}")
 
+    def check_belongs(self, factorization: Factorization, what: str) -> None:
+        """Raise UsageError unless this split is of `what`'s factorization."""
+        if self.factorization != factorization:
+            raise UsageError(f"split does not belong to the {what}'s factorization")
+
     @property
     def dim_left(self) -> int:
         return math.prod(self.factorization.dims[: self.s])

@@ -1,6 +1,7 @@
 """Density-matrix core: validation, the partition-map reshape, partial
 traces over split blocks, entropies, mutual information, and entanglement
-detection for the induced bipartitions.
+detection for the induced bipartitions.  `block_reductions`, the twin of
+`classical.block_marginals`, is the one density-matrix reduction.
 
 `validate` checks a state and takes its spectrum with one eigenvalue call;
 `certify` makes the same checks with one Cholesky factorization, falls back to
@@ -159,31 +160,29 @@ class ReshapedState:
         self.factorization.check_total(self.base.dim, "matrix dimension")
 
 
-# einsum partial traces over a (..., b, a, b', a') block view.
-KEEP_LEADING = "...ijil->...jl"
-KEEP_TRAILING = "...ijkj->...ik"
+def _blocks(matrices: np.ndarray, d_left: int) -> np.ndarray:
+    """(..., N, N) as (..., b, a, b', a'), with a, a' the leading d_left levels (fast)."""
+    d_right = matrices.shape[-1] // d_left
+    return matrices.reshape(*matrices.shape[:-2], d_right, d_left, d_right, d_left)
 
 
-def block_view(matrix: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
-    """Reshape (..., N, N) to axes (..., b, a, b', a'): a/a' index the leading
-    block (fast), b/b' the trailing block (slow)."""
-    return matrix.reshape(*matrix.shape[:-2], d_right, d_left, d_right, d_left)
-
-
-def _block_view(rs: ReshapedState, split: QuditSplit) -> np.ndarray:
-    if split.factorization != rs.factorization:
-        raise UsageError("split does not belong to the reshaped state's factorization")
-    return block_view(rs.base.matrix, split.dim_left, split.dim_right)
+def block_reductions(matrices: np.ndarray, d_left: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unvalidated (leading, trailing) partial traces of (..., N, N) stacks at d_left, the twin
+    of classical.block_marginals: sum_b rho_{(a,b),(a',b)} and sum_a rho_{(a,b),(a,b')}."""
+    blocks = _blocks(matrices, d_left)
+    return np.einsum("...ijil->...jl", blocks), np.einsum("...ijkj->...ik", blocks)
 
 
 def partial_trace_right(rs: ReshapedState, split: QuditSplit) -> DensityMatrix:
     """Reduced state of the leading block: rho(1)_{a,a'} = sum_b rho_{(a,b),(a',b)}."""
-    return DensityMatrix(np.einsum(KEEP_LEADING, _block_view(rs, split)))
+    split.check_belongs(rs.factorization, "reshaped state")
+    return DensityMatrix(block_reductions(rs.base.matrix, split.dim_left)[0])
 
 
 def partial_trace_left(rs: ReshapedState, split: QuditSplit) -> DensityMatrix:
     """Reduced state of the trailing block: rho(2)_{b,b'} = sum_a rho_{(a,b),(a,b')}."""
-    return DensityMatrix(np.einsum(KEEP_TRAILING, _block_view(rs, split)))
+    split.check_belongs(rs.factorization, "reshaped state")
+    return DensityMatrix(block_reductions(rs.base.matrix, split.dim_left)[1])
 
 
 def von_neumann_entropy(state: DensityMatrix) -> float:
@@ -209,9 +208,8 @@ def _linear_entropy(reduced: np.ndarray) -> float:
 
 def partial_transpose_right(rs: ReshapedState, split: QuditSplit) -> np.ndarray:
     """Transpose the trailing-block indices; the result may fail PSD."""
-    block = _block_view(rs, split)
-    n = rs.base.dim
-    return block.transpose(2, 1, 0, 3).reshape(n, n)
+    split.check_belongs(rs.factorization, "reshaped state")
+    return _blocks(rs.base.matrix, split.dim_left).swapaxes(0, 2).reshape(rs.base.matrix.shape)
 
 
 @dataclass(frozen=True)
@@ -244,6 +242,7 @@ def separability_test(rs: ReshapedState, split: QuditSplit) -> SeparabilityVerdi
 def correlation_matrix(rs: ReshapedState, split: QuditSplit) -> np.ndarray:
     """T_ij = Tr(rho sigma_i x sigma_j) for two-dimensional blocks, with
     sigma_i acting on the leading block."""
+    split.check_belongs(rs.factorization, "reshaped state")
     if split.dim_left != 2 or split.dim_right != 2:
         raise UsageError(
             f"both blocks must be two-dimensional, got {split.dim_left}x{split.dim_right}"

@@ -13,7 +13,7 @@ import numpy as np
 
 from quditcorr import Factorization, MultiIndex, QuditSplit, compose, decompose, split_index
 from quditcorr._kernels import split_entropies
-from quditcorr.quantum import KEEP_LEADING, KEEP_TRAILING, block_view, validate_stack
+from quditcorr.quantum import block_reductions, validate_stack
 
 
 def shannon_ref(values) -> float:
@@ -162,7 +162,11 @@ def n_dot_j_tomogram(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
 def quantum_margin_per_split(block) -> np.ndarray:
     """The fuzz quantum family's margins, one dimension class and one split
     point at a time: each (class, split) group validates its own two reduced
-    stacks and takes their entropies and its states' joint entropies."""
+    stacks and takes their entropies and its states' joint entropies.
+
+    It checks the batching (one validated stack per reduced dimension, slots
+    scattered back per sample and split); `brute_force_reduction` checks the
+    reduction itself, against `block_reductions`."""
     dims, classes = block
     d_left = np.cumprod(dims, axis=1)[:, :-1]
     has_split = np.arange(1, dims.shape[1]) < (dims > 1).sum(axis=1)[:, None]
@@ -170,8 +174,6 @@ def quantum_margin_per_split(block) -> np.ndarray:
     for rows, states, spectra in classes:
         for dl in sorted(set(d_left[rows][has_split[rows]].tolist())):
             sample, split = np.nonzero((d_left[rows] == dl) & has_split[rows])
-            blocks = block_view(states[sample], dl, states.shape[-1] // dl)
-            reduced = [validate_stack(np.einsum(keep, blocks))[1]
-                       for keep in (KEEP_LEADING, KEEP_TRAILING)]
+            reduced = [validate_stack(m)[1] for m in block_reductions(states[sample], dl)]
             out[rows[sample], split] = split_entropies(*reduced, spectra[sample])[3]
     return out[has_split]

@@ -10,14 +10,26 @@ from quditcorr import (
     MultiIndex,
     ProbabilityVector,
     QuditSplit,
+    ReshapedState,
     UsageError,
+    chsh_max,
     classical_ssa_check,
     compose,
     conditional,
+    correlation_matrix,
     decompose,
+    linear_entropy,
     marginal,
+    mutual_quantum_information,
+    partial_trace_left,
+    partial_trace_right,
+    partial_transpose_right,
     product_state,
+    separability_test,
+    split_conditionals,
     split_index,
+    subadditivity_report,
+    validate,
 )
 
 _F = Factorization((2, 3, 2))
@@ -52,6 +64,31 @@ _SEQUENCE_ENTRY_POINTS = {
 def test_scalar_where_a_sequence_belongs_is_a_usage_error(entry):
     with pytest.raises(UsageError, match=r"must be a sequence, got \d$"):
         _SEQUENCE_ENTRY_POINTS[entry]()
+
+
+# Every public function that takes a view or a reshaped state and a split.  Each owner is
+# viewed as 4 x 1 and the split is of 2 x 2, so only the ownership rule can refuse it:
+# both blocks are two-dimensional, as correlation_matrix and chsh_max require.
+_FOREIGN_SPLIT = QuditSplit(Factorization((2, 2)), 1)
+_SPLIT_OWNERS = {
+    "view": JointView(ProbabilityVector(np.full(4, 0.25)), Factorization((4, 1))),
+    "reshaped state": ReshapedState(validate(np.eye(4) / 4), Factorization((4, 1))),
+}
+_SPLIT_FUNCTIONS = [
+    ("view", subadditivity_report), ("view", split_conditionals),
+    ("reshaped state", partial_trace_right), ("reshaped state", partial_trace_left),
+    ("reshaped state", partial_transpose_right), ("reshaped state", separability_test),
+    ("reshaped state", mutual_quantum_information), ("reshaped state", linear_entropy),
+    ("reshaped state", correlation_matrix), ("reshaped state", chsh_max),
+]
+
+
+@pytest.mark.parametrize("owner, function", _SPLIT_FUNCTIONS,
+                         ids=[function.__name__ for _, function in _SPLIT_FUNCTIONS])
+def test_a_split_of_another_factorization_is_refused(owner, function):
+    message = f"^split does not belong to the {owner}'s factorization$"
+    with pytest.raises(UsageError, match=message):
+        function(_SPLIT_OWNERS[owner], _FOREIGN_SPLIT)
 
 
 class TestFactorization:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_reduction, chsh_grid_oracle, random_density
+from helpers import brute_force_reduction, chsh_grid_oracle, ordered_factorizations, random_density
 from quditcorr import (
     Factorization,
     NotHermitian,
@@ -24,8 +24,14 @@ from quditcorr import (
     validate,
     von_neumann_entropy,
 )
+from quditcorr.classical import block_marginals
+from quditcorr.quantum import block_reductions
 
 LN2 = math.log(2.0)
+# Every layout of N <= 16 levels with at least two axes of two or more levels, then unit-axis
+# layouts, where one side of a split is a single level.
+_REDUCTION_LAYOUTS = [dims for n in range(4, 17) for dims in ordered_factorizations(n)
+                      if len(dims) >= 2] + [(1, 6), (6, 1), (1, 2, 3), (4, 1, 2)]
 
 
 def bell_state():
@@ -131,6 +137,44 @@ class TestPartialTraces:
             split = QuditSplit(f, s)
             for reduced in (partial_trace_right(rs, split), partial_trace_left(rs, split)):
                 assert abs(np.trace(reduced.matrix) - 1.0) <= 1e-12
+
+
+class TestBlockReductions:
+    @pytest.mark.parametrize("dims", _REDUCTION_LAYOUTS, ids=str)
+    def test_stack_rows_match_brute_force_summation(self, dims):
+        rng = np.random.default_rng(sum(dims) * 100 + len(dims))
+        n = math.prod(dims)
+        stack = np.array([random_density(rng, n) for _ in range(3)])
+        for s in range(1, len(dims)):
+            d_left = math.prod(dims[:s])
+            leading, trailing = block_reductions(stack, d_left)
+            assert leading.shape == (3, d_left, d_left)
+            assert trailing.shape == (3, n // d_left, n // d_left)
+            for row, rho in enumerate(stack):
+                np.testing.assert_allclose(leading[row],
+                                           brute_force_reduction(rho, dims, s, "left"),
+                                           rtol=0.0, atol=1e-14)
+                np.testing.assert_allclose(trailing[row],
+                                           brute_force_reduction(rho, dims, s, "right"),
+                                           rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", _REDUCTION_LAYOUTS, ids=str)
+    def test_diagonal_states_reduce_to_block_marginals(self, dims):
+        """The twin of classical.block_marginals: a diagonal state's reductions are diagonal,
+        holding the block marginals of its diagonal.  The sums run in another order, so they
+        agree to rounding, not bit for bit."""
+        rng = np.random.default_rng(sum(dims) * 100 + len(dims) + 1)
+        n = math.prod(dims)
+        probs = rng.dirichlet(np.ones(n), size=3)
+        probs[:, rng.permutation(n)[: n // 4]] = 0.0
+        stack = probs[:, :, None] * np.eye(n)
+        for s in range(1, len(dims)):
+            d_left = math.prod(dims[:s])
+            for reduced, marginals in zip(block_reductions(stack, d_left),
+                                          block_marginals(probs, d_left)):
+                diagonal = np.diagonal(reduced, axis1=-2, axis2=-1)
+                np.testing.assert_allclose(diagonal, marginals, rtol=0.0, atol=1e-15)
+                assert np.array_equal(reduced, diagonal[..., None] * np.eye(reduced.shape[-1]))
 
 
 class TestEntropies:

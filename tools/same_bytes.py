@@ -3,12 +3,12 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-56 commands and their inputs (drawn with numpy from a fixed seed) into one
+60 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/56 identical", and exits 1 on any mismatch.
+then "k/60 identical", and exits 1 on any mismatch.
 """
 
 import io
@@ -76,8 +76,18 @@ def _probabilities(rng, n: int) -> np.ndarray:
     return p / p.sum()
 
 
+def _write(path: Path, data) -> None:
+    """Write one corpus input; an input name used twice would silently replace the first."""
+    if path.exists():
+        sys.exit(f"corpus input {path.name} is written twice")
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+
+
 def write_corpus(tmp: Path) -> list:
-    """The 56 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 60 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -91,17 +101,17 @@ def write_corpus(tmp: Path) -> list:
         n = int(np.prod(dims))
         layout = ["--dims", ",".join(map(str, dims)), "--split", str(split)]
         state = tmp / f"dm_{k}.json"
-        state.write_text(json.dumps(_density(rng, n, (n, 1, 2)[k % 3])))
+        _write(state, json.dumps(_density(rng, n, (n, 1, 2)[k % 3])))
         out = str(tmp / f"dm_{k}_out.json") if k % 2 else None
         commands.append((["analyze-dm", "--input", str(state), *layout]
                          + (["--out", out] if out else []), out))
         p = _probabilities(rng, n)
         if n <= 12:
             vector = tmp / f"p_{k}.csv"
-            vector.write_text("".join(f"{v!r}\n" for v in p.tolist()))
+            _write(vector, "".join(f"{v!r}\n" for v in p.tolist()))
         else:
             vector = tmp / f"p_{k}.json"
-            vector.write_text(json.dumps(p.tolist()))
+            _write(vector, json.dumps(p.tolist()))
         out = str(tmp / f"p_{k}_out.json") if k % 2 == 0 else None
         commands.append((["analyze-prob", "--input", str(vector), *layout, "--q", "2",
                           "--q", "0.5", "--q", "3", "--conditionals"]
@@ -111,13 +121,13 @@ def write_corpus(tmp: Path) -> list:
     psi /= np.linalg.norm(psi)
     rho = np.outer(psi, psi.conj())
     pure = tmp / "pure_2x3.json"
-    pure.write_text(json.dumps({"dim": 6, "re": rho.real.tolist(), "im": rho.imag.tolist()}))
+    _write(pure, json.dumps({"dim": 6, "re": rho.real.tolist(), "im": rho.imag.tolist()}))
     commands.append((["analyze-dm", "--input", str(pure), "--dims", "2,3"], None))
 
     for dims, flags, custom_grid in _SWEEPS:
         n = int(np.prod(dims))
         state = tmp / f"spin_{n}.json"
-        state.write_text(json.dumps(_density(rng, n, n if n < 64 else 3)))
+        _write(state, json.dumps(_density(rng, n, n if n < 64 else 3)))
         out = str(tmp / f"spin_{n}_records.jsonl")
         argv = ["tomogram-sweep", "--input", str(state), "--dims", ",".join(map(str, dims)),
                 *flags, "--out", out]
@@ -126,14 +136,14 @@ def write_corpus(tmp: Path) -> list:
             phi = rng.uniform(0.0, 2.0 * np.pi, 40)
             psi_angle = rng.uniform(-np.pi, np.pi, 40)
             path = tmp / f"grid_{n}.json"
-            path.write_text(json.dumps([{"theta": t, "phi": f, "psi": s} for t, f, s
-                                        in zip(theta.tolist(), phi.tolist(), psi_angle.tolist())]))
+            _write(path, json.dumps([{"theta": t, "phi": f, "psi": s} for t, f, s
+                                     in zip(theta.tolist(), phi.tolist(), psi_angle.tolist())]))
             argv += ["--grid", str(path)]
         commands.append((argv, out))
 
     # The heaviest report to render: 1024 four-entry conditional rows, about 10k floats.
     vector = tmp / "p_4096.json"
-    vector.write_text(json.dumps(_probabilities(rng, 4096).tolist()))
+    _write(vector, json.dumps(_probabilities(rng, 4096).tolist()))
     commands.append((["analyze-prob", "--input", str(vector), "--dims", "1024,2,2", "--split", "1",
                       "--q", "2", "--q", "3", "--conditionals"], None))
 
@@ -149,8 +159,8 @@ def write_corpus(tmp: Path) -> list:
            "no_re.json": {"dim": 2, "im": [[0.0, 0.0], [0.0, 0.0]]},
            "bool_grid.json": [{"theta": True, "phi": False}]}
     for name, payload in bad.items():
-        (tmp / name).write_text(json.dumps(payload))
-    (tmp / "latin1_grid.json").write_bytes(b"\xff\xfe[]")
+        _write(tmp / name, json.dumps(payload))
+    _write(tmp / "latin1_grid.json", b"\xff\xfe[]")
     bell = str(tmp / "spin_4.json")
     commands += [(["analyze-prob", "--input", str(tmp / "bool_p.json"), "--dims", "2,2"], None),
                  (["analyze-dm", "--input", str(tmp / "huge_dim.json"), "--dims", "1,1"], None),
@@ -170,7 +180,7 @@ def write_corpus(tmp: Path) -> list:
                "not_psd_4.json": {"dim": 4, "re": (np.eye(4) / 4).tolist(),
                                   "im": (swap - swap.T).tolist()}}
     for name, payload in refused.items():
-        (tmp / name).write_text(json.dumps(payload))
+        _write(tmp / name, json.dumps(payload))
         commands.append((["tomogram-sweep", "--input", str(tmp / name), "--dims", "2,2"], None))
 
     # The larger block first, so a swapped leading and trailing block sum cannot pass.
@@ -179,6 +189,17 @@ def write_corpus(tmp: Path) -> list:
                    "--q", "2", "--out", out], out),
                  (["analyze-prob", "--input", str(tmp / "p_1.csv"), "--dims", "4,3", "--q", "2",
                    "--conditionals"], None)]
+
+    # Unit-axis layouts: one side of each split is a single level, so I = 0 up to the
+    # rounding of that level's total.
+    state, vector = tmp / "dm_unit_6.json", tmp / "p_unit_6.csv"
+    _write(state, json.dumps(_density(rng, 6, 6)))
+    _write(vector, "".join(f"{v!r}\n" for v in _probabilities(rng, 6).tolist()))
+    commands += [(["analyze-dm", "--input", str(state), "--dims", dims], None)
+                 for dims in ("6,1", "1,6")]
+    commands += [(["analyze-prob", "--input", str(vector), "--dims", "1,6", "--q", "2"], None),
+                 (["analyze-prob", "--input", str(vector), "--dims", "6,1", "--conditionals"],
+                  None)]
     return commands
 
 
