@@ -41,7 +41,6 @@ from .quantum import (
     DensityMatrix,
     ReshapedState,
     SeparabilityVerdict,
-    certify,
     chsh_max,
     correlation_matrix,
     linear_entropy,

@@ -45,8 +45,10 @@ def relative_shannon(p: np.ndarray, r: np.ndarray):
 
 def relative_tsallis(p: np.ndarray, r: np.ndarray, q: float):
     inside, holes = _support(p, r)
-    # For q < 1 a vanishing reference weight contributes 0 (r**(1-q) -> 0).
-    terms = np.where(inside, p, 0.0) ** q * np.where(inside, r, 1.0) ** (1.0 - q)
+    # For q < 1 a vanishing reference weight contributes 0 (r**(1-q) -> 0).  At extreme q
+    # the powers overflow to inf or NaN, the signal callers already read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(inside, p, 0.0) ** q * np.where(inside, r, 1.0) ** (1.0 - q)
     if q > 1.0:
         terms[holes] = np.inf
     return (_reduced(terms) - 1.0) / (q - 1.0)

@@ -37,7 +37,6 @@ from .quantum import (
     DensityMatrix,
     ReshapedState,
     _linear_entropy,
-    certify,
     chsh_max,
     partial_trace_left,
     partial_trace_right,
@@ -242,10 +241,10 @@ def _cmd_tomogram_sweep(args) -> Report:
     factorization = Factorization(args.dims)
     check_two_axes(factorization)  # --dims and --q are refused before any file is read
     qs = _tsallis_params(args.q)
-    state = certify(read_density_matrix(args.input))  # the sweep never reads the spectrum
-    rep = spin_rep((state.dim - 1) / 2.0)
+    matrix = read_density_matrix(args.input)
+    rep = spin_rep((len(matrix) - 1) / 2.0)
     grid = load_direction_grid(args.grid) if args.grid else _default_grid()
-    sweep = direction_sweep(state, rep, factorization, grid, qs)
+    sweep = direction_sweep(matrix, rep, factorization, grid, qs)
 
     if args.out:
         reports = {f"{q:g}": tsallis_reports(table) for q, table in sweep.tsallis.items()}

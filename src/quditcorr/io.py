@@ -7,8 +7,8 @@ per line (anything else).  Direction grids are JSON arrays of
 {"theta": ..., "phi": ..., "psi": optional}.
 
 read_density_matrix parses a density-matrix file; load_density_matrix also
-validates the state (quantum.validate), and tomogram-sweep certifies it instead
-(quantum.certify), since it never reads the spectrum.
+validates the state (quantum.validate).  tomogram-sweep hands the parsed matrix
+to tomography.direction_sweep, which checks it without taking a spectrum.
 """
 
 import json

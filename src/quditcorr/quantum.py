@@ -3,10 +3,10 @@ traces over split blocks, entropies, mutual information, and entanglement
 detection for the induced bipartitions.  `block_reductions`, the twin of
 `classical.block_marginals`, is the one density-matrix reduction.
 
-`validate` checks a state and takes its spectrum with one eigenvalue call;
-`certify` makes the same checks with one Cholesky factorization, falls back to
-the eigenvalue call only when that fails, and leaves the spectrum until it is
-read, for callers such as tomogram-sweep that never read it.
+`validate` builds a `DensityMatrix`, whose checks take the spectrum with one
+eigenvalue call; `certify_stack` makes the same checks on plain (..., N, N)
+arrays with one Cholesky factorization, for callers that never read a spectrum
+(tomogram-sweep and the fuzz draws).
 
 Throughout, the leading block of a split occupies the fastest-varying part
 of the flat index (the partition map's convention), so a product state
@@ -86,42 +86,27 @@ def certify_stack(m: np.ndarray) -> np.ndarray:
     return sym
 
 
-def _square(matrix) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise UsageError(f"density matrix must be square, got shape {m.shape}")
-    return m
-
-
 class DensityMatrix:
     """Validated Hermitian, unit-trace, positive-semidefinite matrix.
 
     Construction performs the full validation and caches the spectrum.  The
     stored matrix is the Hermitian part (m + m^dagger)/2 of the input, which
     validation guarantees is within HERMITIAN_ATOL of it entrywise; this
-    keeps downstream reductions exactly Hermitian.  A state from `certify`
-    takes its spectrum when `eigenvalues` is first read.
+    keeps downstream reductions exactly Hermitian.
     """
 
     __slots__ = ("matrix", "dim", "eigenvalues")
 
     def __init__(self, matrix):
-        m = _square(matrix)
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise UsageError(f"density matrix must be square, got shape {m.shape}")
         sym, eigenvalues = validate_stack(m)
         sym.flags.writeable = False
         eigenvalues.flags.writeable = False
         self.matrix = sym
         self.dim = int(m.shape[0])
         self.eigenvalues = eigenvalues
-
-    def __getattr__(self, name):
-        # Called only for a missing attribute; the one that can be missing is the spectrum
-        # of a certified state, which is taken here on its first read.
-        if name != "eigenvalues":
-            raise AttributeError(f"'DensityMatrix' object has no attribute {name!r}")
-        eigenvalues = self.eigenvalues = _psd_spectra(self.matrix)
-        eigenvalues.flags.writeable = False
-        return eigenvalues
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -130,19 +115,6 @@ class DensityMatrix:
 def validate(matrix) -> DensityMatrix:
     """Check Hermiticity, unit trace, and positive semidefiniteness."""
     return DensityMatrix(matrix)
-
-
-def certify(matrix) -> DensityMatrix:
-    """validate(matrix) for callers that may never read the spectrum: the same refusals
-    and messages, and the same matrix, certified PSD by certify_stack.  The spectrum is
-    taken by the same eigenvalue call on the same matrix when `eigenvalues` is first read,
-    so it is bit for bit validate's."""
-    m = _square(matrix)
-    state = object.__new__(DensityMatrix)
-    state.matrix = certify_stack(m)
-    state.matrix.flags.writeable = False
-    state.dim = int(m.shape[0])
-    return state
 
 
 @dataclass(frozen=True, eq=False)

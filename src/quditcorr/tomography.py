@@ -24,7 +24,7 @@ from . import _kernels
 from .classical import ProbabilityVector, TsallisParam, block_marginals, probability_rows
 from .errors import DomainError, UsageError
 from .partition import Factorization
-from .quantum import DensityMatrix
+from .quantum import DensityMatrix, certify_stack
 from .tolerances import (
     PSD_ATOL,
     SPIN_J_ATOL,
@@ -186,16 +186,17 @@ def tomogram(state: DensityMatrix, rep: SpinRep, direction: Direction) -> Tomogr
 
     `state` is given in the same |m>-descending basis as `rep`.
     """
-    _check_inputs(state, rep, (direction,))
+    _check_inputs(state.matrix.shape, rep, (direction,))
     diagonals = tomogram_diagonals(rep, direction.theta, direction.phi, state.matrix)
     values, error = tomogram_values(diagonals, state.matrix)
     values.flags.writeable = False
     return TomogramTable(direction=direction, values=values, normalization_error=float(error))
 
 
-def _check_inputs(state: DensityMatrix, rep: SpinRep, directions) -> None:
-    if state.dim != rep.dim:
-        raise UsageError(f"state dimension {state.dim} does not match spin dimension {rep.dim}")
+def _check_inputs(shape: tuple, rep: SpinRep, directions) -> None:
+    if shape != (rep.dim, rep.dim):
+        dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else shape
+        raise UsageError(f"state dimension {dim} does not match spin dimension {rep.dim}")
     if not all(abs(d.psi) < math.inf for d in directions):  # psi drops out of every value
         raise DomainError("tomogram direction has a non-finite psi")
 
@@ -346,25 +347,22 @@ class Sweep(NamedTuple):
     tsallis: dict[float, np.ndarray]  # q -> (4, n): S_q1, S_q2, S_q and the margin
 
 
-def direction_sweep(
-    state: DensityMatrix,
-    rep: SpinRep,
-    factorization: Factorization,
-    grid,
-    qs=(),
-) -> Sweep:
-    """Evaluate the tomographic diagnostics over a direction grid.
+def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs=()) -> Sweep:
+    """Evaluate the tomographic diagnostics of the N x N state `matrix` over a direction grid.
 
-    The state and partition are checked before any tomogram; one tomogram_diagonals call
-    computes every direction, each row bit for bit as `tomogram` would, and table checks,
-    marginals and entropies run once, over the stack.
+    The matrix is checked against rep's dimension, then as a state by certify_stack (the
+    refusals and messages are DensityMatrix's, with one Cholesky factorization in place
+    of the spectrum), then the partition, all before any tomogram.  One tomogram_diagonals call computes every
+    direction, each row bit for bit as `tomogram` would on validate(matrix), and table
+    checks, marginals and entropies run once, over the stack.
     """
     directions = list(grid)
     if not directions:
         raise UsageError("direction grid is empty")
-    _check_inputs(state, rep, directions)
-    _check_partition(factorization, state.dim)
-    rho = state.matrix
+    rho = np.asarray(matrix, dtype=complex)
+    _check_inputs(rho.shape, rep, directions)
+    rho = certify_stack(rho)
+    _check_partition(factorization, rep.dim)
     theta, phi = (np.array([getattr(d, name) for d in directions]) for name in ("theta", "phi"))
     values, errors = tomogram_values(tomogram_diagonals(rep, theta, phi, rho), rho)
     first, second = marginal_pair(values, factorization)

@@ -111,6 +111,14 @@ class TestMarginal:
         with pytest.raises(UsageError, match="empty"):
             marginal(view, ())
 
+    @pytest.mark.parametrize("axes, error, message", [
+        ((1, 1), UsageError, r"axes contains duplicate axes: \(1, 1\)"),
+        ((1, 3), DomainError, r"axis 3 outside 1\.\.2"),
+    ])
+    def test_bad_axes_rejected(self, axes, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            marginal(view_of([0.25] * 4, (2, 2)), axes)
+
     def test_marginals_normalized(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -175,6 +183,13 @@ class TestConditional:
         view = view_of([0.25] * 4, (2, 2))
         with pytest.raises(UsageError, match="overlap"):
             conditional(view, (1,), (1,), (1,))
+        with pytest.raises(UsageError, match=r"^given and target axes overlap: \[2\]$"):
+            conditional(view_of([0.125] * 8, (2, 2, 2)), (3, 2), (1, 2), (1, 1))
+
+    def test_conditioning_value_out_of_range(self):
+        view = view_of([0.125] * 8, (2, 2, 2))
+        with pytest.raises(DomainError, match=r"^conditioning value x3 = 3 outside 1\.\.2$"):
+            conditional(view, (3, 1), (2,), (3, 1))
 
     def test_unsorted_axis_value_pairing(self):
         rng = np.random.default_rng(3)

@@ -22,8 +22,9 @@ from quditcorr import (
     QuditSplit,
     ReshapedState,
     TraceNotOne,
+    SpinRep,
     TsallisParam,
-    certify,
+    direction_sweep,
     mutual_quantum_information,
     mutual_tomographic_information,
     qubit_from_probabilities,
@@ -253,7 +254,8 @@ def test_bad_state_in_stack_raises_like_density_matrix(case):
         DensityMatrix(bad)
     for check in (validate_stack, certify_stack):
         _raises_like(lambda: DensityMatrix(bad), lambda: check(_with_row(_STATES, bad)))
-    _raises_like(lambda: DensityMatrix(bad), lambda: certify(bad))
+    sweep = (bad, SpinRep(1.0), Factorization((3, 1)), [Direction(0.3, 0.4)])
+    _raises_like(lambda: DensityMatrix(bad), lambda: direction_sweep(*sweep))
 
 
 def _rotated(eigenvalues):
@@ -291,15 +293,13 @@ def test_certify_stack_decides_like_validate_stack(case):
         with pytest.raises(error):
             validate_stack(stack)
         _raises_like(lambda: validate_stack(stack), lambda: certify_stack(stack))
-        _raises_like(lambda: validate(state), lambda: certify(state))
+        _raises_like(lambda: validate(state), lambda: certify_stack(state))
     else:
-        expected, got = validate_stack(stack)[0], certify_stack(stack)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
-        expected, got = validate(state), certify(state)
-        assert np.array_equal(got.matrix, expected.matrix)
-        assert np.array_equal(got.eigenvalues, expected.eigenvalues)
-        assert not got.eigenvalues.flags.writeable and got.eigenvalues is got.eigenvalues
+        for rows in (stack, state):
+            expected, got = validate_stack(rows)[0], certify_stack(rows)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        assert certify_stack(state).tobytes() == validate(state).matrix.tobytes()
 
 
 def test_qubit_draw_is_the_scalar_reconstruction_of_bloch_ball_probabilities():
@@ -316,10 +316,12 @@ def test_spectrum_free_draws_take_no_spectra(monkeypatch):
         calls.append(m.shape)
         return eigvalsh(m)
 
+    rep, f, grid = SpinRep(1.0), Factorization((3, 1)), [Direction(0.3, 0.4), Direction(2.0, 5.0)]
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for draw in (draw_qubits, draw_qutrits, draw_tomographic):
         draw(np.random.default_rng(1), BLOCK)
-    certify(_STATES[0])
+    certify_stack(_STATES[0])
+    direction_sweep(_STATES[0], rep, f, grid)  # a full-rank state: the factorization suffices
     assert calls == []
     certify_stack(_with_row(_STATES, np.diag([0.5, 0.5, 0.0])))
     assert calls == [_STATES.shape]

@@ -450,6 +450,19 @@ _MALFORMED = [
      "dimension mismatch: factorization total 6 != tomogram length 4"),
     ("three_axis_sweep", "tomogram-sweep", {"dim": 16, "re": (np.eye(16) / 16).tolist()}, None,
      "2,2,4", 2, "tomographic analysis splits into two axes, got 3"),
+    ("object_probabilities", "analyze-prob", {"p": [0.5, 0.5]}, None, "2,1", 2,
+     "input.json: expected a JSON array of probabilities"),
+    ("empty_json_probabilities", "analyze-prob", [], None, "2,1", 2,
+     "input.json: no probabilities found"),
+    ("blank_csv", "analyze-prob", "\n  \n", None, "2,1", 2, "p.csv: no probabilities found"),
+    ("list_matrix", "analyze-dm", [[1.0]], None, "1,1", 2,
+     "input.json: expected an object with 'dim' and 're'/'im' arrays"),
+    ("null_im", "analyze-dm", {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": None}, None,
+     "2,1", 2, "input.json: 're' and 'im' must be matching square matrices"),
+    ("non_square_re", "analyze-dm", {"re": [[0.5, 0.5]]}, None, "2,1", 2,
+     "input.json: 're' and 'im' must be matching square matrices"),
+    ("empty_grid", "tomogram-sweep", _BELL, [], "2,2", 2,
+     "grid.json: expected a nonempty JSON array of directions"),
 ]
 
 
@@ -507,7 +520,17 @@ def test_arguments_refused_before_any_file_is_read(tmp_path, capsys, monkeypatch
     assert err == f"error: {message}\n"
 
 
-# One parsed 4 x 4 matrix per refusal of validate, each of which certify must repeat.
+def test_non_integer_dims_exit_2_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze-prob", "--input", "p.csv", "--dims", "2,x"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --dims: dims must be a comma-separated integer list, got '2,x'\n")
+
+
+# One parsed 4 x 4 matrix per refusal of validate, each of which the sweep must repeat.
 _REFUSED_STATES = {
     "not_hermitian": np.diag([0.4, 0.3, 0.2, 0.1]) + np.triu(np.full((4, 4), 0.01), 1),
     "trace": np.diag([0.4, 0.3, 0.2, 0.2]),
@@ -647,9 +670,9 @@ class TestDemoAndFuzz:
         assert report["seed"] == 1
 
     def test_fuzz_nan_margins_exit_2(self, capsys):
-        # p**q underflows to 0 and r**(1 - q) overflows, so every Tsallis margin is NaN.
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run_cli(capsys, "fuzz", "--count", "300", "--q", "1e300")
+        # p**q underflows to 0 and r**(1 - q) overflows, so every Tsallis margin is NaN;
+        # the kernel silences the overflow, so no RuntimeWarning escapes either.
+        code, out, err = run_cli(capsys, "fuzz", "--count", "300", "--q", "1e300")
         assert code == 2 and out == ""
         assert err == "error: qutrit_tsallis_q=1e+300: 256 of 256 margins in a block are NaN\n"
 

@@ -9,6 +9,7 @@ from quditcorr import (
     Direction,
     DomainError,
     Factorization,
+    NotHermitian,
     ProbabilityVector,
     SpinRep,
     TsallisParam,
@@ -247,8 +248,10 @@ class TestTomogram:
         above = SimpleNamespace(dim=4, matrix=hermitian + 0.58e-10 * skew)
         with pytest.raises(DomainError, match="anti-Hermitian part 1.005e-10"):
             tomogram(above, rep, direction)
-        with pytest.raises(DomainError, match="anti-Hermitian part 1.005e-10"):
-            direction_sweep(above, rep, f, [direction])
+        # The sweep checks its matrix as validate does, and the entrywise gap
+        # |rho - rho^dagger|_00 = 2 * 0.58e-10 exceeds HERMITIAN_ATOL before any tomogram.
+        with pytest.raises(NotHermitian, match=r"max \|rho - rho\^dagger\| = 1\.160e-10"):
+            direction_sweep(above.matrix, rep, f, [direction])
 
     def test_matches_qubit_probabilities(self):
         # The x/y/z tomograms of a qubit reproduce (p1, p2, p3).
@@ -377,9 +380,7 @@ class TestDirectionSweep:
         ]
 
     def test_maximally_mixed_all_zero(self):
-        sweep = direction_sweep(
-            validate(np.eye(4) / 4), SpinRep(1.5), Factorization((2, 2)), self.grid()
-        )
+        sweep = direction_sweep(np.eye(4) / 4, SpinRep(1.5), Factorization((2, 2)), self.grid())
         assert len(sweep.directions) == 25
         assert sweep.values.shape == (25, 4)
         assert sweep.information.shape == sweep.normalization_error.shape == (25,)
@@ -388,9 +389,9 @@ class TestDirectionSweep:
     def test_bell_like_state_along_z(self):
         v = np.zeros(4)
         v[0] = v[3] = 2**-0.5
-        state = validate(np.outer(v, v))
         sweep = direction_sweep(
-            state, SpinRep(1.5), Factorization((2, 2)), [Direction(0.0, 0.0)], (TsallisParam(2.0),)
+            np.outer(v, v), SpinRep(1.5), Factorization((2, 2)), [Direction(0.0, 0.0)],
+            (TsallisParam(2.0),)
         )
         np.testing.assert_allclose(sweep.values[0], [0.5, 0.0, 0.0, 0.5], atol=1e-13)
         assert abs(sweep.information[0] - LN2) <= 1e-12
@@ -399,9 +400,8 @@ class TestDirectionSweep:
 
     def test_sweep_normalization_and_order(self):
         rng = np.random.default_rng(35)
-        state = validate(random_density(rng, 4))
         grid = self.grid(10, 10)
-        sweep = direction_sweep(state, SpinRep(1.5), Factorization((2, 2)), grid)
+        sweep = direction_sweep(random_density(rng, 4), SpinRep(1.5), Factorization((2, 2)), grid)
         assert sweep.directions == grid
         assert sweep.tsallis == {}
         assert sweep.normalization_error.max() <= 1e-10
@@ -413,7 +413,7 @@ class TestDirectionSweep:
         rep = SpinRep(2.5)
         state = validate(random_density(rng, 6))
         qs = (TsallisParam(0.5), TsallisParam(2.0), TsallisParam(3.0))
-        sweep = direction_sweep(state, rep, f, self.grid(4, 4), qs)
+        sweep = direction_sweep(state.matrix, rep, f, self.grid(4, 4), qs)
         assert sorted(sweep.tsallis) == [0.5, 2.0, 3.0]
         for table in sweep.tsallis.values():
             assert table.shape == (4, 16)
@@ -445,13 +445,40 @@ class TestDirectionSweep:
         rep = SpinRep((n - 1) / 2.0)
         state = validate(random_density(rng, n))
         grid = [*self.grid(3, 3), Direction(1.1, 4.2, psi=2.5)]
-        sweep = direction_sweep(state, rep, Factorization(dims), grid)
+        sweep = direction_sweep(state.matrix, rep, Factorization(dims), grid)
         for k, direction in enumerate(grid):
             assert np.array_equal(sweep.values[k], tomogram(state, rep, direction).values)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_pure_state_rows_equal_validated_tomograms(self, monkeypatch, n):
+        # A pure state is singular, so the sweep's Cholesky check fails and the eigenvalue
+        # check decides; the rows are still those of the validated state, bit for bit.
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+        rep, grid = SpinRep((n - 1) / 2.0), [*self.grid(3, 3), Direction(1.1, 4.2, psi=2.5)]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        sweep = direction_sweep(pure, rep, Factorization((n, 1)), grid)
+        assert calls == [(n, n)]
+        state = validate(pure)
+        for k, direction in enumerate(grid):
+            assert np.array_equal(sweep.values[k], tomogram(state, rep, direction).values)
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.full((4, 4), np.nan), "state dimension 4 does not match spin dimension 3"),
+        (np.eye(4)[:, :3] / 3, r"state dimension \(4, 3\) does not match spin dimension 3"),
+    ])
+    def test_shape_checked_before_the_state(self, matrix, message):
+        with pytest.raises(UsageError, match="direction grid is empty"):
+            direction_sweep(matrix, SpinRep(1.0), Factorization((3, 1)), [])
+        with pytest.raises(UsageError, match=message):
+            direction_sweep(matrix, SpinRep(1.0), Factorization((3, 1)), [Direction(0.3, 0.4)])
+
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError, match="empty"):
-            direction_sweep(validate(np.eye(4) / 4), SpinRep(1.5), Factorization((2, 2)), [])
+            direction_sweep(np.eye(4) / 4, SpinRep(1.5), Factorization((2, 2)), [])
 
     @pytest.mark.parametrize("dims, message", [
         ((2, 2, 4), "tomographic analysis splits into two axes, got 3"),
@@ -462,9 +489,9 @@ class TestDirectionSweep:
             raise AssertionError("a tomogram was computed before the partition was checked")
 
         monkeypatch.setattr(tomography, "tomogram_diagonals", fail)
-        state = validate(np.eye(16) / 16)
+        grid = [Direction(0.3, 0.4)]
         with pytest.raises(UsageError, match=message):
-            direction_sweep(state, SpinRep(7.5), Factorization(dims), [Direction(0.3, 0.4)])
+            direction_sweep(np.eye(16) / 16, SpinRep(7.5), Factorization(dims), grid)
 
 
 class TestLargeSpinOracle:
@@ -480,7 +507,7 @@ class TestLargeSpinOracle:
         rep = SpinRep(j)
         state = validate(random_density(rng, rep.dim))
         f = Factorization(dims)
-        sweep = direction_sweep(state, rep, f, self.DIRECTIONS, (TsallisParam(2.0),))
+        sweep = direction_sweep(state.matrix, rep, f, self.DIRECTIONS, (TsallisParam(2.0),))
         theta, phi = (np.array([getattr(d, a) for d in self.DIRECTIONS]) for a in ("theta", "phi"))
         states = np.array([state.matrix] * len(self.DIRECTIONS))
         stacked, _ = tomogram_values(tomogram_diagonals(rep, theta, phi, states), states)

@@ -7,8 +7,10 @@ The script extracts src/ at REV with `git archive`, writes a fixed corpus of
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
-code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
-then "k/60 identical", and exits 1 on any mismatch.
+code, stdout, stderr and the bytes of the --out file. It prints each mismatch
+and each working-tree command that raised or exited other than 0 or 2 (a crash
+both trees share would otherwise count as identical), then "k/60 identical"
+and how many commands exit 2, and exits 1 on any of those findings.
 """
 
 import io
@@ -224,15 +226,19 @@ def main(argv) -> int:
         corpus.write_text(json.dumps(commands))
         before = run_tree(tmp / "rev" / "src", corpus, tmp / "rev.json")
         after = run_tree(ROOT / "src", corpus, tmp / "tree.json")
-    identical = 0
+    identical = broken = 0
     for (command, _), old, new in zip(commands, before, after):
         differing = [key for key in old if old[key] != new[key]]
         if differing:
             print(f"MISMATCH ({', '.join(differing)}): {' '.join(command)}")
         else:
             identical += 1
-    print(f"{identical}/{len(commands)} identical")
-    return 0 if identical == len(commands) else 1
+        if new["exit code"] not in (0, 2):
+            broken += 1
+            print(f"EXIT {new['exit code']}: {' '.join(command)}")
+    exits_2 = sum(new["exit code"] == 2 for new in after)
+    print(f"{identical}/{len(commands)} identical; {exits_2} exit 2")
+    return 0 if identical == len(commands) and not broken else 1
 
 
 if __name__ == "__main__":
