@@ -11,7 +11,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConditioningOnNull, DomainError, UsageError
-from .partition import Factorization, QuditSplit, integer, integers
+from .partition import Factorization, QuditSplit, integer, integers, numeric_array, real
 from .tolerances import PROB_NEG_CLAMP, PROB_SUM_ATOL, SUBADDITIVITY_ATOL
 
 
@@ -53,7 +53,7 @@ class ProbabilityVector:
     __slots__ = ("probs",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=float)
+        arr = numeric_array(values, float, "probability vector", copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise UsageError(f"expected a nonempty 1-D vector, got shape {arr.shape}")
         arr = probability_rows(arr)
@@ -95,7 +95,7 @@ class TsallisParam:
     q: float
 
     def __post_init__(self):
-        q = float(self.q)
+        q = real(self.q, "Tsallis q")
         if not 0.0 < q < np.inf or q == 1.0:
             raise DomainError(f"Tsallis q = {q} must be positive, finite and != 1")
         object.__setattr__(self, "q", q)

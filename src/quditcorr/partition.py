@@ -13,6 +13,8 @@ the same y differently.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, UsageError
 
 
@@ -25,6 +27,23 @@ def integer(value, what: str, positive: bool = False) -> int:
     if not whole:
         raise DomainError(f"{what} = {value!r}, must be an integer" + (" >= 1" if positive else ""))
     return int(value)
+
+
+def real(value, what: str) -> float:
+    """float(value); a value float() refuses (None, "a", 1j, 10**400) raises DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} = {value!r}, must be a real number") from None
+
+
+def numeric_array(values, dtype, what: str, copy=None) -> np.ndarray:
+    """np.array(values, dtype, copy=copy); content it refuses ("a", object(), ragged rows)
+    raises UsageError."""
+    try:
+        return np.array(values, dtype=dtype, copy=copy)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{what} must be an array of numbers: {exc}") from None
 
 
 def integers(values, what: str) -> tuple:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NotHermitian, NotPSD, TraceNotOne, UsageError
-from .partition import Factorization, QuditSplit, integers
+from .partition import Factorization, QuditSplit, integers, numeric_array
 from .tolerances import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL
 
 _PAULIS = (
@@ -98,7 +98,7 @@ class DensityMatrix:
     __slots__ = ("matrix", "dim", "eigenvalues")
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        m = numeric_array(matrix, complex, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise UsageError(f"density matrix must be square, got shape {m.shape}")
         sym, eigenvalues = validate_stack(m)

@@ -19,6 +19,7 @@ import numpy as np
 from . import _kernels
 from .classical import TsallisParam
 from .errors import DomainError, NotPSD, UsageError
+from .partition import real
 from .quantum import DensityMatrix
 from .tolerances import BLOCH_ATOL, PSD_ATOL, QUTRIT_DIAG_SLOP, SUBADDITIVITY_ATOL
 
@@ -57,8 +58,9 @@ class QubitProbabilities:
     p3: float
 
     def __post_init__(self):
-        p = bloch_probabilities((self.p1, self.p2, self.p3))
-        for name, value in zip(("p1", "p2", "p3"), p.tolist()):
+        names = ("p1", "p2", "p3")
+        p = bloch_probabilities([real(getattr(self, name), name) for name in names])
+        for name, value in zip(names, p.tolist()):
             object.__setattr__(self, name, value)
 
 
@@ -188,7 +190,8 @@ class QutritElements:
 
     def __post_init__(self):
         names = tuple(self.__dataclass_fields__)
-        for name, value in zip(names, _unit_interval([getattr(self, n) for n in names], names)):
+        values = [real(getattr(self, name), name) for name in names]
+        for name, value in zip(names, _unit_interval(values, names)):
             object.__setattr__(self, name, float(value))
 
 

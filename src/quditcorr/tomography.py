@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .classical import ProbabilityVector, TsallisParam, block_marginals, probability_rows
 from .errors import DomainError, UsageError
-from .partition import Factorization
+from .partition import Factorization, numeric_array, real
 from .quantum import DensityMatrix, certify_stack
 from .tolerances import (
     PSD_ATOL,
@@ -44,7 +44,7 @@ class Direction:
     psi: float = 0.0
 
     def __post_init__(self):
-        angles = check_angles(float(self.theta), float(self.phi), float(self.psi))
+        angles = check_angles(real(self.theta, "theta"), real(self.phi, "phi"), real(self.psi, "psi"))
         for name, value in zip(("theta", "phi", "psi"), angles):
             object.__setattr__(self, name, value)
 
@@ -70,7 +70,7 @@ class SpinRep:
     __slots__ = ("j", "dim", "m_values", "_ladder", "_factors", "_mirror_signs")
 
     def __init__(self, j):
-        twice = float(j) * 2.0
+        twice = real(j, "spin j") * 2.0
         two_j = round(twice) if math.isfinite(twice) else 0
         if not abs(twice - two_j) <= SPIN_J_ATOL or two_j < 1:
             raise DomainError(f"spin j = {j} must be a positive multiple of 1/2")
@@ -359,7 +359,9 @@ def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs
     directions = list(grid)
     if not directions:
         raise UsageError("direction grid is empty")
-    rho = np.asarray(matrix, dtype=complex)
+    if isinstance(matrix, DensityMatrix):
+        raise UsageError("direction_sweep takes the state's N x N matrix: pass state.matrix")
+    rho = numeric_array(matrix, complex, "state matrix")
     _check_inputs(rho.shape, rep, directions)
     rho = certify_stack(rho)
     _check_partition(factorization, rep.dim)

@@ -2,6 +2,7 @@
 and the stacked checks against the scalar constructors, row by row."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,6 +223,22 @@ def test_nan_margin_raises_naming_family_and_count():
                     lambda block: np.array([0.1, np.nan, 0.2]), 0.0)]
     with pytest.raises(DomainError, match=r"^half_nan: 1 of 3 margins in a block are NaN$"):
         run_families(np.random.default_rng(0), 3, table)
+
+
+def test_a_run_holds_one_block_at_a_time():
+    # Each block and its margins are freed before the next draw, so four blocks peak
+    # where one does; a block kept alive through the next draw reads about 1.4x.
+    table = family_table(QS)
+    run_families(np.random.default_rng(1), 8, table)  # warm caches and lazy imports
+    peaks = []
+    for count in (BLOCK, 4 * BLOCK):
+        tracemalloc.start()
+        try:
+            run_families(np.random.default_rng(1), count, table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def _raises_like(scalar, stacked):

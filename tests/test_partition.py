@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from quditcorr import (
+    DensityMatrix,
+    Direction,
     DomainError,
     Factorization,
     JointView,
     MultiIndex,
     ProbabilityVector,
+    QubitProbabilities,
     QuditSplit,
+    QutritElements,
     ReshapedState,
+    SpinRep,
+    TsallisParam,
     UsageError,
     chsh_max,
     classical_ssa_check,
@@ -18,6 +24,7 @@ from quditcorr import (
     conditional,
     correlation_matrix,
     decompose,
+    direction_sweep,
     linear_entropy,
     marginal,
     mutual_quantum_information,
@@ -64,6 +71,41 @@ _SEQUENCE_ENTRY_POINTS = {
 def test_scalar_where_a_sequence_belongs_is_a_usage_error(entry):
     with pytest.raises(UsageError, match=r"must be a sequence, got \d$"):
         _SEQUENCE_ENTRY_POINTS[entry]()
+
+
+# Every constructor fed a non-number: scalars take the real-number rule (DomainError naming
+# the value), arrays refuse their content as they refuse their shape (UsageError).
+_NON_NUMERIC = {
+    "DensityMatrix object": (lambda: DensityMatrix(object()), UsageError,
+                             "^density matrix must be an array of numbers: "),
+    "DensityMatrix strings": (lambda: DensityMatrix([["a", "b"], ["c", "d"]]), UsageError,
+                              "^density matrix must be an array of numbers: "),
+    "direction_sweep DensityMatrix": (
+        lambda: direction_sweep(validate(np.eye(2) / 2), SpinRep(0.5), Factorization((2, 1)),
+                                [Direction(0.1, 0.2)]),
+        UsageError, r"pass state\.matrix$"),
+    "direction_sweep strings": (
+        lambda: direction_sweep([["a", "b"], ["c", "d"]], SpinRep(0.5), Factorization((2, 1)),
+                                [Direction(0.1, 0.2)]),
+        UsageError, "^state matrix must be an array of numbers: "),
+    "ProbabilityVector": (lambda: ProbabilityVector(["x"]), UsageError,
+                          "^probability vector must be an array of numbers: "),
+    "Direction": (lambda: Direction("a", 0.0), DomainError, "^theta = 'a', must be a real number$"),
+    "TsallisParam": (lambda: TsallisParam("x"), DomainError,
+                     "^Tsallis q = 'x', must be a real number$"),
+    "SpinRep": (lambda: SpinRep(None), DomainError, "^spin j = None, must be a real number$"),
+    "QubitProbabilities": (lambda: QubitProbabilities(0.5, 1j, 0.5), DomainError,
+                           r"^p2 = 1j, must be a real number$"),
+    "QutritElements": (lambda: QutritElements(*[0.5] * 8, "a"), DomainError,
+                       "^p3_3 = 'a', must be a real number$"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_NON_NUMERIC))
+def test_non_numeric_input_is_a_typed_refusal(entry):
+    call, error, message = _NON_NUMERIC[entry]
+    with pytest.raises(error, match=message):
+        call()
 
 
 # Every public function that takes a view or a reshaped state and a split.  Each owner is

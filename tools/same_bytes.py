@@ -3,13 +3,13 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-60 commands and their inputs (drawn with numpy from a fixed seed) into one
+61 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch
 and each working-tree command that raised or exited other than 0 or 2 (a crash
-both trees share would otherwise count as identical), then "k/60 identical"
+both trees share would otherwise count as identical), then "k/61 identical"
 and how many commands exit 2, and exits 1 on any of those findings.
 """
 
@@ -89,13 +89,14 @@ def _write(path: Path, data) -> None:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 60 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 61 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
                 (["fuzz", "--seed", "3", "--count", "1"], None),  # one-sample blocks
-                (["fuzz", "--seed", "5", "--count", "257", "--q", "2"], None),  # 1-sample tail
-                (["fuzz", "--seed", "11", "--count", "3000"], None)]  # 12 blocks, 184-sample tail
+                (["fuzz", "--seed", "5", "--count", "257", "--q", "2"], None),  # one odd block
+                (["fuzz", "--seed", "5", "--count", "513", "--q", "2"], None),  # 1-sample tail
+                (["fuzz", "--seed", "11", "--count", "3000"], None)]  # 6 blocks, 440-sample tail
     out = str(tmp / "fuzz_7919.json")
     commands.append((["fuzz", "--seed", "7919", "--out", out], out))
 
