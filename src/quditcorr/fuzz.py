@@ -6,8 +6,8 @@ and split) and the tolerance its minimum is judged against.  Families that
 share a draw see the same inputs.
 
 Samples are drawn BLOCK at a time, one call per stage (draw, check, reduction,
-entropy) per block, and `run_families` frees each block and its margins before
-it draws the next, so a run holds one block whatever its count.
+entropy) per block, and `run_families` frees each family block before it draws
+the next, so a run holds one such block whatever its count.
 """
 
 import math
@@ -174,9 +174,6 @@ def run_families(rng, count: int, table: list[Family]):
                         raise DomainError(f"{family.name}: {int(np.isnan(values).sum())} of "
                                           f"{values.size} margins in a block are NaN")
                     margins[family.name] = min(margins.get(family.name, math.inf), low)
-            del block, values, infinite  # so the next draw runs with no block alive
-    product_max = -math.inf
-    for block in blocks(rng, count, draw_products):
-        product_max = max(product_max, float(product_mutual_abs(block).max()))
-        del block
-    return margins, infinities, product_max
+            del block  # so the next draw runs with no block alive
+    products = blocks(rng, count, draw_products)
+    return margins, infinities, max(float(product_mutual_abs(b).max()) for b in products)

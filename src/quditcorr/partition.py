@@ -30,18 +30,21 @@ def integer(value, what: str, positive: bool = False) -> int:
 
 
 def real(value, what: str) -> float:
-    """float(value); a value float() refuses (None, "a", 1j, 10**400) raises DomainError."""
+    """float(value); a string ("0.5", as `integer` refuses "2") or a value float() refuses
+    (None, 1j, 10**400) raises DomainError."""
     try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} = {value!r}, must be a real number") from None
 
 
-def numeric_array(values, dtype, what: str, copy=None) -> np.ndarray:
-    """np.array(values, dtype, copy=copy); content it refuses ("a", object(), ragged rows)
-    raises UsageError."""
+def numeric_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
+    """np.array(values, dtype) if `copy`, else np.asarray; content it refuses ("a", object(),
+    ragged rows) raises UsageError."""
     try:
-        return np.array(values, dtype=dtype, copy=copy)
+        return (np.array if copy else np.asarray)(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{what} must be an array of numbers: {exc}") from None
 

@@ -91,6 +91,8 @@ _NON_NUMERIC = {
     "ProbabilityVector": (lambda: ProbabilityVector(["x"]), UsageError,
                           "^probability vector must be an array of numbers: "),
     "Direction": (lambda: Direction("a", 0.0), DomainError, "^theta = 'a', must be a real number$"),
+    "Direction numeric string": (lambda: Direction(0.1, "0.5"), DomainError,
+                                 "^phi = '0.5', must be a real number$"),
     "TsallisParam": (lambda: TsallisParam("x"), DomainError,
                      "^Tsallis q = 'x', must be a real number$"),
     "SpinRep": (lambda: SpinRep(None), DomainError, "^spin j = None, must be a real number$"),
