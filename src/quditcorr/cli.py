@@ -49,7 +49,6 @@ from .tolerances import (
     DEMO_CLOSED_FORM_ATOL,
     DEMO_LINEAR_ENTROPY_ATOL,
     ENTROPY_BOUND_ATOL,
-    PRODUCT_MUTUAL_ATOL,
     PSD_ATOL,
     QUANTUM_MUTUAL_ATOL,
     SUBADDITIVITY_ATOL,
@@ -343,21 +342,17 @@ def _cmd_fuzz(args) -> Report:
     qs = _tsallis_params(args.q, default=(1.5, 2.0, 3.0))
     table = family_table(qs)
     rng = np.random.default_rng(args.seed)
-    margins, infinities, product_max = run_families(rng, args.count, table)
+    margins, infinities = run_families(rng, args.count, table)
 
     tolerances = {family.name: family.tolerance for family in table}
     checks = [
         check(f"{name}_min_margin", value, tolerances[name])
         for name, value in sorted(margins.items())
     ]
-    checks.append(
-        check("classical_product_mutual_abs_max", product_max, PRODUCT_MUTUAL_ATOL, -math.inf, 0.0)
-    )
     results = {
         "count_per_family": args.count,
         "min_margins": margins,
         "infinite_values_skipped": infinities,
-        "product_mutual_abs_max": product_max,
     }
     return _report(args, results, checks, qs, seed=args.seed)
 

@@ -78,6 +78,7 @@ def load_probability_vector(path) -> ProbabilityVector:
                 values.append(float(line))
             except ValueError:
                 raise UsageError(f"{path}:{line_number}: not a number: {line!r}") from None
+        values = np.array(values, dtype=float)  # floats: one pass, no search for text
     if not len(values):
         raise UsageError(f"{path}: no probabilities found")
     return ProbabilityVector(values)

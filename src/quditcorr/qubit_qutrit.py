@@ -11,7 +11,6 @@ distributions read off the matrix elements, so each is nonnegative for any
 valid state; math.inf marks a support mismatch.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,26 +140,10 @@ def qutrit_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _pair(d[..., 0] + d[..., 1], d[..., 2]), _pair(0.5 + re13, 0.5 - re13)
 
 
-def qutrit_inequality_shannon(state: DensityMatrix, as_printed: bool = False) -> InequalityResult:
-    """D((rho11 + rho22, rho33) || (1/2 + Re rho13, 1/2 - Re rho13)).
-
-    With `as_printed`, the second logarithm's numerator is replaced by
-    (rho33 + rho22); that variant is evaluable but is not a relative entropy
-    and carries no nonnegativity guarantee.
-    """
+def qutrit_inequality_shannon(state: DensityMatrix) -> InequalityResult:
+    """D((rho11 + rho22, rho33) || (1/2 + Re rho13, 1/2 - Re rho13))."""
     _require_dim(state, 3)
-    p, r = qutrit_distributions(state.matrix)
-    if not as_printed:
-        return _result(_kernels.relative_shannon(p, r))
-    d22 = max(float(state.matrix[1, 1].real), 0.0)
-    first = 0.0 if p[0] <= 0.0 else (math.inf if r[0] <= 0.0 else p[0] * math.log(p[0] / r[0]))
-    if p[1] <= 0.0:
-        second = 0.0
-    elif r[1] <= 0.0:
-        second = math.inf
-    else:
-        second = p[1] * math.log((p[1] + d22) / r[1])
-    return _result(first + second)
+    return _result(_kernels.relative_shannon(*qutrit_distributions(state.matrix)))
 
 
 def qutrit_inequality_tsallis(state: DensityMatrix, tq: TsallisParam) -> InequalityResult:

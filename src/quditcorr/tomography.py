@@ -186,19 +186,17 @@ def tomogram(state: DensityMatrix, rep: SpinRep, direction: Direction) -> Tomogr
 
     `state` is given in the same |m>-descending basis as `rep`.
     """
-    _check_inputs(state.matrix.shape, rep, (direction,))
+    _check_dimension(state.matrix.shape, rep)
     diagonals = tomogram_diagonals(rep, direction.theta, direction.phi, state.matrix)
     values, error = tomogram_values(diagonals, state.matrix)
     values.flags.writeable = False
     return TomogramTable(direction=direction, values=values, normalization_error=float(error))
 
 
-def _check_inputs(shape: tuple, rep: SpinRep, directions) -> None:
+def _check_dimension(shape: tuple, rep: SpinRep) -> None:
     if shape != (rep.dim, rep.dim):
         dim = shape[0] if len(shape) == 2 and shape[0] == shape[1] else shape
         raise UsageError(f"state dimension {dim} does not match spin dimension {rep.dim}")
-    if not all(abs(d.psi) < math.inf for d in directions):  # psi drops out of every value
-        raise DomainError("tomogram direction has a non-finite psi")
 
 
 def tomogram_diagonals(rep: SpinRep, theta, phi, rho: np.ndarray) -> np.ndarray:
@@ -362,7 +360,7 @@ def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs
     if isinstance(matrix, DensityMatrix):
         raise UsageError("direction_sweep takes the state's N x N matrix: pass state.matrix")
     rho = numeric_array(matrix, complex, "state matrix")
-    _check_inputs(rho.shape, rep, directions)
+    _check_dimension(rho.shape, rep)
     rho = certify_stack(rho)
     _check_partition(factorization, rep.dim)
     theta, phi = (np.array([getattr(d, name) for d in directions]) for name in ("theta", "phi"))

@@ -13,6 +13,8 @@ import numpy as np
 
 from quditcorr import Factorization, MultiIndex, QuditSplit, compose, decompose, split_index
 from quditcorr._kernels import split_entropies
+from quditcorr.classical import probability_rows
+from quditcorr.fuzz import blocks, draw_products, split_mutual_information
 from quditcorr.quantum import block_reductions, validate_stack
 
 
@@ -177,3 +179,15 @@ def quantum_margin_per_split(block) -> np.ndarray:
             reduced = [validate_stack(m)[1] for m in block_reductions(states[sample], dl)]
             out[rows[sample], split] = split_entropies(*reduced, spectra[sample])[3]
     return out[has_split]
+
+
+def product_mutual_abs_max(rng: np.random.Generator, count: int) -> float:
+    """max |I| over `count` product distributions drawn from `rng`, BLOCK at a time: the
+    separate product pass that ran after the fuzz table before the product became one of
+    its families, kept as the reference that family's minimum margin must negate."""
+    worst = -math.inf
+    for _, left, right in blocks(rng, count, draw_products):
+        joint = probability_rows((right[:, :, None] * left[:, None, :]).reshape(len(left), 36))
+        mutual = split_mutual_information(joint, np.full(len(left), 6))
+        worst = max(worst, float(np.abs(mutual).max()))
+    return worst

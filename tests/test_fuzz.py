@@ -1,6 +1,7 @@
 """The stacked fuzz families against the scalar public API, sample by sample,
 and the stacked checks against the scalar constructors, row by row."""
 
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import quantum_margin_per_split, random_density
+from helpers import product_mutual_abs_max, quantum_margin_per_split, random_density
 from quditcorr import (
     DensityMatrix,
     Direction,
@@ -39,6 +40,7 @@ from quditcorr import (
     validate,
 )
 from quditcorr import fuzz
+from quditcorr.cli import main
 from quditcorr.classical import probability_rows
 from quditcorr.fuzz import (
     BLOCK,
@@ -50,7 +52,7 @@ from quditcorr.fuzz import (
     draw_qutrits,
     draw_tomographic,
     family_table,
-    product_mutual_abs,
+    product_margin,
     quantum_margin,
     run_families,
     tomographic_margin,
@@ -110,6 +112,12 @@ def _tomographic(block):
     ]
 
 
+def _products(block):
+    sizes, left, right = block
+    return [-abs(_mutual(np.outer(r[:nr], l[:nl]).ravel(), (int(nl), int(nr)), 1))
+            for (nl, nr), l, r in zip(sizes, left, right)]
+
+
 SCALAR = {
     "classical_subadditivity": _classical,
     "quantum_mutual_information": _quantum,
@@ -119,6 +127,7 @@ SCALAR = {
                                      for m in block],
     **{f"qutrit_tsallis_q={q:g}": _qutrit_tsallis(q) for q in (1.5, 2.0, 3.0)},
     "tomographic_information": _tomographic,
+    "classical_product": _products,
 }
 
 
@@ -142,7 +151,7 @@ def test_table_names_in_report_order():
 
 def test_every_sample_matches_the_scalar_api():
     table = family_table(QS)
-    margins, infinities, product_extreme = run_families(np.random.default_rng(11), COUNT, table)
+    margins, infinities = run_families(np.random.default_rng(11), COUNT, table)
     rng = np.random.default_rng(11)
     expected_min, expected_inf = {}, {}
     for draw in dict.fromkeys(f.draw for f in table):
@@ -155,26 +164,31 @@ def test_every_sample_matches_the_scalar_api():
                 expected_inf[family.name] = (
                     expected_inf.get(family.name, 0) + len(scalar) - len(finite)
                 )
-    products = []
-    for sizes, left, right in blocks(rng, COUNT, draw_products):
-        for (n_left, n_right), l_row, r_row in zip(sizes, left, right):
-            outer = np.outer(r_row[:n_right], l_row[:n_left]).ravel()
-            products.append(abs(_mutual(outer, (int(n_left), int(n_right)), 1)))
     assert margins.keys() == expected_min.keys()
     for name, value in margins.items():
         assert abs(value - expected_min[name]) <= 1e-12
     assert infinities == {k: v for k, v in expected_inf.items() if v}
-    assert abs(product_extreme - max(products)) <= 1e-12
 
 
 def test_product_layout_matches_outer_product():
     block = draw_products(np.random.default_rng(4), 8)
-    sizes, left, right = block
-    expected = [
-        abs(_mutual(np.outer(r[:nr], l[:nl]).ravel(), (int(nl), int(nr)), 1))
-        for (nl, nr), l, r in zip(sizes, left, right)
-    ]
-    _assert_same(product_mutual_abs(block), expected)
+    _assert_same(product_margin(block), _products(block))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("count", [1, 257, 1000])
+def test_product_family_negates_the_old_product_pass_bit_for_bit(capsys, seed, count):
+    # The product row comes last in the table, so it draws where the separate pass drew.
+    assert main(["fuzz", "--seed", str(seed), "--count", str(count)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rng = np.random.default_rng(seed)
+    for draw in dict.fromkeys(f.draw for f in family_table(QS) if f.draw is not draw_products):
+        for _ in blocks(rng, count, draw):
+            pass
+    expected = -product_mutual_abs_max(rng, count)
+    assert np.array_equal(report["results"]["min_margins"]["classical_product"], expected)
+    check = next(c for c in report["checks"] if c["name"] == "classical_product_min_margin")
+    assert np.array_equal(check["value"], expected) and check["holds"]
 
 
 def _quantum_blocks():
@@ -213,7 +227,7 @@ def test_infinite_margins_are_counted_not_minimized():
     values = np.array([np.inf, 1.0, -np.inf, 2.0])
     table = [Family("flagged", lambda rng, size: values[:size], lambda block: block, 0.0),
              Family("all_infinite", lambda rng, size: None, lambda block: np.full(2, np.inf), 0.0)]
-    margins, infinities, _ = run_families(np.random.default_rng(0), 4, table)
+    margins, infinities = run_families(np.random.default_rng(0), 4, table)
     assert margins == {"flagged": 1.0}
     assert infinities == {"flagged": 2, "all_infinite": 2}
 

@@ -666,7 +666,7 @@ class TestDemoAndFuzz:
             "qubit_xy_min_margin",
             "qutrit_shannon_min_margin",
             "tomographic_information_min_margin",
-            "classical_product_mutual_abs_max",
+            "classical_product_min_margin",
         } <= names
         assert report["seed"] == 1
 

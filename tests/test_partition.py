@@ -88,8 +88,24 @@ _NON_NUMERIC = {
         lambda: direction_sweep([["a", "b"], ["c", "d"]], SpinRep(0.5), Factorization((2, 1)),
                                 [Direction(0.1, 0.2)]),
         UsageError, "^state matrix must be an array of numbers: "),
+    "direction_sweep numeric strings": (
+        lambda: direction_sweep([["0.5", "0"], ["0", "0.5"]], SpinRep(0.5),
+                                Factorization((2, 1)), [Direction(0.1, 0.2)]),
+        UsageError, "^state matrix must be an array of numbers: strings are not numbers$"),
+    "DensityMatrix numeric strings": (
+        lambda: DensityMatrix([["0.5", "0"], ["0", "0.5"]]), UsageError,
+        "^density matrix must be an array of numbers: strings are not numbers$"),
+    "DensityMatrix numeric strings among numbers": (
+        lambda: DensityMatrix(np.array([[0.5, "0"], [0, 0.5]], dtype=object)), UsageError,
+        "^density matrix must be an array of numbers: strings are not numbers$"),
     "ProbabilityVector": (lambda: ProbabilityVector(["x"]), UsageError,
                           "^probability vector must be an array of numbers: "),
+    "ProbabilityVector numeric strings": (
+        lambda: ProbabilityVector(["0.5", "0.5"]), UsageError,
+        "^probability vector must be an array of numbers: strings are not numbers$"),
+    "ProbabilityVector numeric bytes": (
+        lambda: ProbabilityVector([b"0.5", b"0.5"]), UsageError,
+        "^probability vector must be an array of numbers: strings are not numbers$"),
     "Direction": (lambda: Direction("a", 0.0), DomainError, "^theta = 'a', must be a real number$"),
     "Direction numeric string": (lambda: Direction(0.1, "0.5"), DomainError,
                                  "^phi = '0.5', must be a real number$"),

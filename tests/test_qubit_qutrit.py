@@ -130,13 +130,6 @@ class TestQutritInequalities:
     def test_shannon_equality_case(self):
         assert abs(qutrit_inequality_shannon(equality_case_qutrit()).value) <= 1e-12
 
-    def test_printed_variant_differs(self):
-        state = equality_case_qutrit()
-        printed = qutrit_inequality_shannon(state, as_printed=True)
-        # Second term becomes rho33 * ln((rho33 + rho22) / (1/2 - Re rho13)).
-        expected = 0.6 * math.log(0.6 / 0.6) + 0.4 * math.log(0.75 / 0.4)
-        assert abs(printed.value - expected) < 1e-12
-
     def test_tsallis_maximally_mixed(self):
         result = qutrit_inequality_tsallis(validate(np.eye(3) / 3), TsallisParam(2.0))
         assert abs(result.value - 1.0 / 9.0) < 1e-12

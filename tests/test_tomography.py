@@ -222,14 +222,6 @@ class TestTomogram:
         with pytest.raises(UsageError, match="dimension"):
             tomogram(validate(np.eye(2) / 2), SpinRep(1.0), Direction(0.0, 0.0))
 
-    def test_nan_direction_raises(self):
-        # A direction that slipped past validation must not yield a NaN table.
-        direction = object.__new__(Direction)
-        for name, value in (("theta", 0.3), ("phi", 0.4), ("psi", math.nan)):
-            object.__setattr__(direction, name, value)
-        with pytest.raises(DomainError, match="tomogram"):
-            tomogram(validate(np.eye(4) / 4), SpinRep(1.5), direction)
-
     def test_nan_state_raises(self):
         state = SimpleNamespace(dim=4, matrix=np.full((4, 4), math.nan, dtype=complex))
         with pytest.raises(DomainError, match="tomogram"):

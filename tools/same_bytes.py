@@ -7,8 +7,9 @@ The script extracts src/ at REV with `git archive`, writes a fixed corpus of
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
-code, stdout, stderr and the bytes of the --out file. It prints each mismatch
-and each working-tree command that raised or exited other than 0 or 2 (a crash
+code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
+with the first line that differs in each differing stream (old -> new), and
+each working-tree command that raised or exited other than 0 or 2 (a crash
 both trees share would otherwise count as identical), then "k/61 identical"
 and how many commands exit 2, and exits 1 on any of those findings.
 """
@@ -19,6 +20,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +208,16 @@ def write_corpus(tmp: Path) -> list:
     return commands
 
 
+def first_difference(old, new) -> str:
+    """`line k: <old> -> <new>` for the first line at which two outcomes differ; a line
+    one side lacks (or a --out file it did not write) reads as None."""
+    lines = ([] if v is None else str(v).splitlines(keepends=True) for v in (old, new))
+    for k, (a, b) in enumerate(zip_longest(*lines), 1):
+        if a != b:
+            return f"line {k}: {a!r} -> {b!r}"
+    return f"{old!r} -> {new!r}"  # the same lines: an empty --out file against none
+
+
 def run_tree(src: Path, corpus: Path, results: Path) -> list:
     subprocess.run([sys.executable, "-c", _RUNNER, str(src), str(corpus), str(results)],
                    check=True, cwd=corpus.parent)
@@ -232,6 +244,8 @@ def main(argv) -> int:
         differing = [key for key in old if old[key] != new[key]]
         if differing:
             print(f"MISMATCH ({', '.join(differing)}): {' '.join(command)}")
+            for key in differing:
+                print(f"  {key} {first_difference(old[key], new[key])}")
         else:
             identical += 1
         if new["exit code"] not in (0, 2):
