@@ -89,8 +89,8 @@ class JointView:
 
 @dataclass(frozen=True)
 class TsallisParam:
-    """Tsallis deformation parameter; the q -> 1 limit is served by the
-    Shannon operations."""
+    """Tsallis deformation parameter; the q -> 1 limit is served by the Shannon operations.
+    `label` keys report entries; `gated` (q > 1, where the inequalities hold) makes checks."""
 
     q: float
 
@@ -99,6 +99,14 @@ class TsallisParam:
         if not 0.0 < q < np.inf or q == 1.0:
             raise DomainError(f"Tsallis q = {q} must be positive, finite and != 1")
         object.__setattr__(self, "q", q)
+
+    @property
+    def label(self) -> str:
+        return f"{self.q:g}"
+
+    @property
+    def gated(self) -> bool:
+        return self.q > 1.0
 
 
 def _normalize_axes(axes, num_axes: int, what: str) -> tuple[int, ...]:

@@ -37,9 +37,8 @@ from .quantum import (
     DensityMatrix,
     ReshapedState,
     _linear_entropy,
+    block_reductions,
     chsh_max,
-    partial_trace_left,
-    partial_trace_right,
     separability_test,
     validate,
 )
@@ -110,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tsallis_params(values, default=()) -> list[TsallisParam]:
-    """One TsallisParam per q; their labels f"{q:g}" key report entries, so they must differ,
+    """One TsallisParam per q; their labels key report entries, so they must differ,
     and none may read "1", where (sum p^q - 1)/(q - 1) has lost a margin's digits."""
     qs = [TsallisParam(q) for q in (default if values is None else values)]
     labels: dict[str, float] = {}
     for tq in qs:
-        if (label := f"{tq.q:g}") == "1":
+        if (label := tq.label) == "1":
             raise UsageError(f"--q {tq.q!r} has the label q=1, too close to 1 for a Tsallis "
                              "margin; the Shannon results cover q -> 1")
         if label in labels:
@@ -165,23 +164,21 @@ def _cmd_analyze_prob(args) -> Report:
     checks = [check("subadditivity", report.mutual_info, SUBADDITIVITY_ATOL)]
 
     if qs:
-        suite = {}
+        suite = results["tsallis"] = {}
         for tq in qs:
             s_q_left, s_q_right, s_q_joint, margin = _kernels.split_entropies(
                 left.probs, right.probs, vector.probs, tq.q
             )
-            verdict = check(f"tsallis_subadditivity_q={tq.q:g}", margin, SUBADDITIVITY_ATOL)
-            suite[f"{tq.q:g}"] = {
+            verdict = check(f"tsallis_subadditivity_q={tq.label}", margin, SUBADDITIVITY_ATOL)
+            suite[tq.label] = {
                 "S_q_left": s_q_left,
                 "S_q_right": s_q_right,
                 "S_q_joint": s_q_joint,
                 "margin": margin,
                 "holds": verdict.holds,
             }
-            # Only q > 1 carries a guarantee; q < 1 is reported, not gated.
-            if tq.q > 1.0:
+            if tq.gated:
                 checks.append(verdict)
-        results["tsallis"] = suite
 
     if args.conditionals:
         left_given_right, right_given_left = split_conditionals(view, split)
@@ -193,10 +190,12 @@ def _cmd_analyze_prob(args) -> Report:
     return _report(args, results, checks, qs)
 
 
+_TSIRELSON = 2.0 * math.sqrt(2.0)  # the largest CHSH value a quantum state reaches
+
+
 def _analyze_density_matrix(state: DensityMatrix, split: QuditSplit):
     reshaped = ReshapedState(state, split.factorization)
-    rho_left = partial_trace_right(reshaped, split)
-    rho_right = partial_trace_left(reshaped, split)
+    rho_left, rho_right = map(DensityMatrix, block_reductions(state.matrix, split.dim_left))
     s_left, s_right, s_joint, mutual = _kernels.split_entropies(
         rho_left.eigenvalues, rho_right.eigenvalues, state.eigenvalues
     )
@@ -220,7 +219,7 @@ def _analyze_density_matrix(state: DensityMatrix, split: QuditSplit):
     if split.dim_left == 2 and split.dim_right == 2:
         chsh = results["chsh_max"] = chsh_max(reshaped, split)
         results["bell_violated"] = bool(chsh > 2.0)
-        checks.append(check("tsirelson_bound", chsh, CHSH_ATOL, -math.inf, 2.0 * math.sqrt(2.0)))
+        checks.append(check("tsirelson_bound", chsh, CHSH_ATOL, -math.inf, _TSIRELSON))
     return results, checks
 
 
@@ -246,7 +245,7 @@ def _cmd_tomogram_sweep(args) -> Report:
     sweep = direction_sweep(matrix, rep, factorization, grid, qs)
 
     if args.out:
-        reports = {f"{q:g}": tsallis_reports(table) for q, table in sweep.tsallis.items()}
+        reports = {tq.label: tsallis_reports(sweep.tsallis[tq.q]) for tq in qs}
         rows = zip(sweep.directions, sweep.values.tolist(), sweep.information.tolist(),
                    sweep.normalization_error.tolist())
         payloads = (
@@ -268,12 +267,9 @@ def _cmd_tomogram_sweep(args) -> Report:
         check("tomographic_information_min", min_information, SUBADDITIVITY_ATOL),
         check("tomogram_normalization_max_error", max_error, TOMOGRAM_SUM_ATOL, -math.inf, 0.0),
     ]
-    for tq in qs:
-        if tq.q > 1.0:
-            margin = float(sweep.tsallis[tq.q][3].min())
-            checks.append(
-                check(f"tomographic_tsallis_min_margin_q={tq.q:g}", margin, SUBADDITIVITY_ATOL)
-            )
+    checks += [check(f"tomographic_tsallis_min_margin_q={tq.label}",
+                     float(sweep.tsallis[tq.q][3].min()), SUBADDITIVITY_ATOL)
+               for tq in qs if tq.gated]
     results = {
         "units": "nats",
         "spin_j": rep.j,
@@ -318,7 +314,7 @@ def _cmd_demo_four_level(args) -> Report:
     results["index_tables"] = tables
     results["state_vector"] = amplitudes
 
-    ln4, tsirelson = 2.0 * math.log(2.0), 2.0 * math.sqrt(2.0)
+    ln4 = 2.0 * math.log(2.0)
     chsh, linear = results["chsh_max"], results["linear_entropy"]
     verdict = results["separability"]
     witness = verdict["witness_value"]
@@ -328,8 +324,8 @@ def _cmd_demo_four_level(args) -> Report:
         check("linear_entropy_equals_half", linear, DEMO_LINEAR_ENTROPY_ATOL, 0.5, 0.5),
         check("ppt_witness_equals_minus_half", witness, DEMO_CLOSED_FORM_ATOL, -0.5, -0.5),
         CheckRecord("state_entangled", witness, verdict["status"] == "entangled", PSD_ATOL),
-        check("chsh_max_equals_2sqrt2", chsh, CHSH_ATOL, tsirelson, tsirelson),
-        CheckRecord("bell_inequality_violated", chsh, bool(chsh > 2.0), 0.0),
+        check("chsh_max_equals_2sqrt2", chsh, CHSH_ATOL, _TSIRELSON, _TSIRELSON),
+        CheckRecord("bell_inequality_violated", chsh, results["bell_violated"], 0.0),
     ]
     return _report(args, results, checks, seed=0)
 

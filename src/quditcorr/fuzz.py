@@ -144,9 +144,9 @@ def family_table(qs) -> list[Family]:
         Family("qubit_xy", draw_qubits, lambda m: relative_shannon(*xy_distributions(m)), tol),
         Family("qutrit_shannon", draw_qutrits,
                lambda m: relative_shannon(*qutrit_distributions(m)), tol),
-        *(Family(f"qutrit_tsallis_q={tq.q:g}", draw_qutrits,
+        *(Family(f"qutrit_tsallis_q={tq.label}", draw_qutrits,
                  lambda m, q=tq.q: relative_tsallis(*qutrit_distributions(m), q), tol)
-          for tq in qs if tq.q > 1.0),
+          for tq in qs if tq.gated),
         Family("tomographic_information", draw_tomographic, tomographic_margin, tol),
         Family("classical_product", draw_products, product_margin, PRODUCT_MUTUAL_ATOL),
     ]

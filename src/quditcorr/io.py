@@ -41,8 +41,8 @@ def _read_json(path: Path):
 def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.ndarray:
     """`value`, parsed from the JSON file `path`, as a float array (of `shape` if given);
     anything else raises UsageError(f"{path}: {what}: {cause}"). numpy would read a JSON
-    true, false or string as 1, 0 or the number it spells, so they are looked for: true
-    and false if the text may hold one, strings if numpy reads text or objects."""
+    true, false, null or string as 1, 0, NaN or the number it spells, so they are looked for:
+    true and false if the text may hold one, null and strings if numpy reads objects or text."""
     try:
         array = np.array(value)
         stack = [value] if booleans or array.dtype.kind in "OU" else []
@@ -52,6 +52,8 @@ def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.nda
                 stack.extend(item)
             elif item is True or item is False:
                 raise TypeError("true and false are not numbers")
+            elif item is None:
+                raise TypeError("null is not a number")
             elif isinstance(item, str):
                 raise TypeError("strings are not numbers")
         if shape is not None and array.shape != shape:

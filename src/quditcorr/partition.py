@@ -42,13 +42,15 @@ def real(value, what: str) -> float:
 
 def numeric_array(values, dtype, what: str, copy: bool = False) -> np.ndarray:
     """np.array(values, dtype) if `copy`, else np.asarray; content it refuses ("a", object(),
-    ragged rows) and text it would parse ("0.5", as `real` refuses it) raise UsageError."""
+    ragged rows), text it would parse ("0.5", as `real` refuses it) and None raise UsageError."""
     try:
         array = np.asarray(values)
         if array.dtype.kind in "OSU":  # text or objects: numpy's own refusal comes first
             converted = np.asarray(values, dtype=dtype)
             if array.dtype.kind != "O" or any(isinstance(v, (str, bytes)) for v in array.flat):
                 raise TypeError("strings are not numbers")
+            if any(v is None for v in array.flat):
+                raise TypeError("None is not a number")
             array = converted
         return (np.array if copy else np.asarray)(array, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:

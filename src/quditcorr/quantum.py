@@ -164,7 +164,8 @@ def von_neumann_entropy(state: DensityMatrix) -> float:
 
 def mutual_quantum_information(rs: ReshapedState, split: QuditSplit) -> float:
     """S(rho_left) + S(rho_right) - S(rho); nonnegative by subadditivity."""
-    states = (partial_trace_right(rs, split), partial_trace_left(rs, split), rs.base)
+    split.check_belongs(rs.factorization, "reshaped state")
+    states = (*map(DensityMatrix, block_reductions(rs.base.matrix, split.dim_left)), rs.base)
     return _kernels.split_entropies(*(state.eigenvalues for state in states))[3]
 
 

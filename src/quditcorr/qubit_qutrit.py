@@ -149,7 +149,7 @@ def qutrit_inequality_shannon(state: DensityMatrix) -> InequalityResult:
 def qutrit_inequality_tsallis(state: DensityMatrix, tq: TsallisParam) -> InequalityResult:
     """Tsallis analog for q > 1:
     (1/(q-1)) [ (rho11+rho22)^q (1/2+Re rho13)^(1-q) + rho33^q (1/2-Re rho13)^(1-q) - 1 ]."""
-    if tq.q <= 1.0:
+    if not tq.gated:
         raise UsageError(f"the Tsallis matrix-element inequality needs q > 1, got q = {tq.q}")
     _require_dim(state, 3)
     p, r = qutrit_distributions(state.matrix)

@@ -319,7 +319,7 @@ def tomographic_tsallis_relative(
     The comparison is defined only between subsystems of equal dimension
     (X1 = X2) and for q > 1.
     """
-    if tq.q <= 1.0:
+    if not tq.gated:
         raise UsageError(f"the relative tomographic comparison needs q > 1, got q = {tq.q}")
     if len(first) != len(second):
         raise UsageError(

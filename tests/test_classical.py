@@ -281,6 +281,14 @@ class TestTsallis:
             with pytest.raises(DomainError, match="finite"):
                 TsallisParam(q)
 
+    @pytest.mark.parametrize("q, label, gated", [
+        (0.5, "0.5", False), (0.9999995, "1", False), (1.5, "1.5", True), (2.0, "2", True),
+        (2.0000001, "2", True), (1e300, "1e+300", True),
+    ])
+    def test_label_and_gate(self, q, label, gated):
+        tq = TsallisParam(q)
+        assert (tq.label, tq.gated) == (label, gated)
+
     def test_shannon_limit(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -107,6 +107,11 @@ class TestIo:
         state = load_density_matrix(path)
         assert state.dim == 2
 
+    def test_null_dim_declares_no_dim(self, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dim": None, "re": [[0.5, 0.0], [0.0, 0.5]]}))
+        assert load_density_matrix(path).dim == 2
+
     def test_density_matrix_shape_mismatch(self, tmp_path):
         path = tmp_path / "rho.json"
         path.write_text(json.dumps({"dim": 3, "re": [[1.0]]}))
@@ -459,7 +464,15 @@ _MALFORMED = [
     ("list_matrix", "analyze-dm", [[1.0]], None, "1,1", 2,
      "input.json: expected an object with 'dim' and 're'/'im' arrays"),
     ("null_im", "analyze-dm", {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": None}, None,
-     "2,1", 2, "input.json: 're' and 'im' must be matching square matrices"),
+     "2,1", 2, "input.json: 'dim', 're' and 'im' must be numeric: null is not a number"),
+    ("null_probability", "analyze-prob", [0.5, None, 0.5], None, "3,1", 2,
+     "input.json: probabilities must be numeric: null is not a number"),
+    ("null_matrix_entry", "analyze-dm", {"dim": 2, "re": [[0.5, None], [0.0, 0.5]]}, None, "2,1",
+     2, "input.json: 'dim', 're' and 'im' must be numeric: null is not a number"),
+    ("null_angle", "tomogram-sweep", _BELL, [{"theta": None, "phi": 0.1}], "2,2", 2,
+     "grid.json: entry 0 has a non-numeric angle: null is not a number"),
+    ("null_psi", "tomogram-sweep", _BELL, [{"theta": 0.1, "phi": 0.2, "psi": None}], "2,2", 2,
+     "grid.json: entry 0 has a non-numeric angle: null is not a number"),
     ("non_square_re", "analyze-dm", {"re": [[0.5, 0.5]]}, None, "2,1", 2,
      "input.json: 're' and 'im' must be matching square matrices"),
     ("empty_grid", "tomogram-sweep", _BELL, [], "2,2", 2,
@@ -630,6 +643,39 @@ def test_request_echoes_every_parsed_argument(tmp_path, capsys, command):
     if qs is not None:
         expected["q"] = qs
     assert request == expected
+
+
+# subcommand -> (arguments, the q labels its report holds Tsallis values for, its one Tsallis
+# check); run with --q 0.5 --q 2, only q = 2, where the inequalities are theorems, is gated.
+_Q_GATE = {
+    "analyze-prob": (["--input", "p.json", "--dims", "2,2"], ["0.5", "2"],
+                     "tsallis_subadditivity_q=2"),
+    "tomogram-sweep": (["--input", "rho.json", "--dims", "2,2", "--grid", "grid.json",
+                        "--out", "records.jsonl"], ["0.5", "2"],
+                       "tomographic_tsallis_min_margin_q=2"),
+    "fuzz": (["--count", "3"], ["2"], "qutrit_tsallis_q=2_min_margin"),
+}
+
+
+@pytest.mark.parametrize("command", list(_Q_GATE))
+def test_only_q_above_one_is_gated(tmp_path, capsys, command):
+    flags, labels, gated = _Q_GATE[command]
+    (tmp_path / "p.json").write_text(json.dumps([0.1, 0.2, 0.3, 0.4]))
+    (tmp_path / "rho.json").write_text(json.dumps(_BELL))
+    (tmp_path / "grid.json").write_text(json.dumps(_GRID))
+    argv = [str(tmp_path / a) if a.endswith((".json", ".jsonl")) else a for a in flags]
+    code, out, _ = run_cli(capsys, command, *argv, "--q", "0.5", "--q", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"] if "tsallis" in c["name"]] == [gated]
+    if command == "analyze-prob":
+        reported = report["results"]["tsallis"]
+    elif command == "tomogram-sweep":
+        reported = json.loads((tmp_path / "records.jsonl").read_text())["tsallis"]
+    else:
+        reported = [name.removeprefix("qutrit_tsallis_q=")
+                    for name in report["results"]["min_margins"] if "tsallis" in name]
+    assert sorted(reported) == labels
 
 
 class TestDemoAndFuzz:

@@ -106,6 +106,16 @@ _NON_NUMERIC = {
     "ProbabilityVector numeric bytes": (
         lambda: ProbabilityVector([b"0.5", b"0.5"]), UsageError,
         "^probability vector must be an array of numbers: strings are not numbers$"),
+    "ProbabilityVector None": (
+        lambda: ProbabilityVector([0.5, None, 0.5]), UsageError,
+        "^probability vector must be an array of numbers: None is not a number$"),
+    "DensityMatrix None": (
+        lambda: DensityMatrix([[0.5, None], [0, 0.5]]), UsageError,
+        "^density matrix must be an array of numbers: None is not a number$"),
+    "direction_sweep None": (
+        lambda: direction_sweep([[0.5, 0], [0, None]], SpinRep(0.5), Factorization((2, 1)),
+                                [Direction(0.1, 0.2)]),
+        UsageError, "^state matrix must be an array of numbers: None is not a number$"),
     "Direction": (lambda: Direction("a", 0.0), DomainError, "^theta = 'a', must be a real number$"),
     "Direction numeric string": (lambda: Direction(0.1, "0.5"), DomainError,
                                  "^phi = '0.5', must be a real number$"),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from helpers import brute_force_reduction, chsh_grid_oracle, ordered_factorizations, random_density
 from quditcorr import (
+    DensityMatrix,
     Factorization,
     NotHermitian,
     NotPSD,
@@ -24,7 +26,10 @@ from quditcorr import (
     validate,
     von_neumann_entropy,
 )
+from quditcorr import cli, quantum
+from quditcorr._kernels import split_entropies
 from quditcorr.classical import block_marginals
+from quditcorr.io import write_density_matrix
 from quditcorr.quantum import block_reductions
 
 LN2 = math.log(2.0)
@@ -220,6 +225,59 @@ class TestMutualInformation:
             state = validate(random_density(rng, f.total))
             rs = ReshapedState(state, f)
             assert mutual_quantum_information(rs, QuditSplit(f, 1)) >= -1e-9
+
+
+class TestOneReductionPerSplit:
+    """analyze-dm and mutual_quantum_information take both reduced states of a split from
+    one block_reductions call, and those states are the partial traces' bit for bit."""
+
+    LAYOUTS = [((2, 2), 1), ((2, 3), 1), ((3, 2), 1), ((2, 3, 2), 2), ((1, 6), 1), ((4, 4), 1)]
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        calls = []
+
+        def counted(matrices, d_left):
+            calls.append(block_reductions(matrices, d_left))
+            return calls[-1]
+
+        monkeypatch.setattr(quantum, "block_reductions", counted)
+        monkeypatch.setattr(cli, "block_reductions", counted, raising=False)
+        return calls
+
+    @staticmethod
+    def state(dims, s):
+        f = Factorization(dims)
+        rng = np.random.default_rng(f.total + s)
+        return validate(random_density(rng, f.total)), QuditSplit(f, s)
+
+    @pytest.mark.parametrize("dims, s", LAYOUTS)
+    def test_mutual_quantum_information(self, reductions, dims, s):
+        state, split = self.state(dims, s)
+        rs = ReshapedState(state, split.factorization)
+        mutual = mutual_quantum_information(rs, split)
+        assert len(reductions) == 1
+        traces = (partial_trace_right(rs, split), partial_trace_left(rs, split))
+        for raw, trace in zip(reductions[0], traces):
+            assert np.array_equal(DensityMatrix(raw).matrix, trace.matrix)
+        spectra = (traces[0].eigenvalues, traces[1].eigenvalues, state.eigenvalues)
+        assert mutual == split_entropies(*spectra)[3]
+
+    @pytest.mark.parametrize("dims, s", LAYOUTS)
+    def test_analyze_dm(self, tmp_path, capsys, reductions, dims, s):
+        state, split = self.state(dims, s)
+        path = tmp_path / "rho.json"
+        write_density_matrix(state, path)
+        argv = ["analyze-dm", "--input", str(path), "--dims", ",".join(map(str, dims)),
+                "--split", str(s)]
+        assert cli.main(argv) == 0
+        assert len(reductions) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        rs = ReshapedState(state, split.factorization)
+        for key, trace in (("rho_left", partial_trace_right), ("rho_right", partial_trace_left)):
+            matrix = trace(rs, split).matrix
+            assert np.array_equal(results[key]["re"], matrix.real)
+            assert np.array_equal(results[key]["im"], matrix.imag)
 
 
 class TestLinearEntropy:
