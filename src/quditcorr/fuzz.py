@@ -19,7 +19,7 @@ import numpy as np
 from ._kernels import relative_shannon, relative_tsallis, shannon, split_entropies
 from .classical import block_marginals, probability_rows
 from .errors import DomainError
-from .quantum import block_reductions, certify_stack, validate_stack
+from .quantum import block_reductions, certify_stack, stack_spectra
 from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions, zx_distributions
 from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, ginibre_states
 from .sampling import random_directions, random_factorizations
@@ -107,7 +107,7 @@ def quantum_margin(block):
                 stacks.setdefault(reduced.shape[-1], []).append((slots, reduced))
     for parts in stacks.values():
         slots, matrices = zip(*parts)
-        entropies.flat[np.concatenate(slots)] = shannon(validate_stack(np.concatenate(matrices))[1])
+        entropies.flat[np.concatenate(slots)] = shannon(stack_spectra(np.concatenate(matrices)))
     return (entropies[0] + entropies[1] - entropies[2])[has_split]
 
 

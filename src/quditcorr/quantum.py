@@ -52,9 +52,8 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + adjoint) / 2.0
 
 
-def _psd_spectra(sym: np.ndarray) -> np.ndarray:
-    """Spectra of Hermitian matrices, checked against the -PSD_ATOL floor."""
-    eigenvalues = np.linalg.eigvalsh(sym)
+def _psd_floor(eigenvalues: np.ndarray) -> np.ndarray:
+    """Refuse spectra with an eigenvalue below -PSD_ATOL (or NaN); return them."""
     low = float(eigenvalues.min())
     if not low >= -PSD_ATOL:
         raise NotPSD(f"min eigenvalue = {low:.3e} below -{PSD_ATOL:.0e}")
@@ -65,7 +64,18 @@ def validate_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check that each (..., N, N) matrix is Hermitian, of unit trace and PSD
     (every check also fails on NaN); return the Hermitian parts and spectra."""
     sym = _hermitian_part(m)
-    return sym, _psd_spectra(sym)
+    return sym, _psd_floor(np.linalg.eigvalsh(sym))
+
+
+def stack_spectra(m: np.ndarray) -> np.ndarray:
+    """validate_stack(m)[1], but a 2 x 2 stack, after the same checks, takes its spectra
+    in closed form, (a + d)/2 -/+ hypot((a - d)/2, |b|), not one LAPACK call per matrix."""
+    if m.shape[-1] != 2:
+        return validate_stack(m)[1]
+    sym = _hermitian_part(m)
+    a, d = sym[..., 0, 0].real, sym[..., 1, 1].real
+    mean, radius = (a + d) / 2.0, np.hypot((a - d) / 2.0, np.abs(sym[..., 0, 1]))
+    return _psd_floor(np.stack([mean - radius, mean + radius], axis=-1))
 
 
 def certify_stack(m: np.ndarray) -> np.ndarray:
@@ -82,7 +92,7 @@ def certify_stack(m: np.ndarray) -> np.ndarray:
     try:
         np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        _psd_spectra(sym)
+        _psd_floor(np.linalg.eigvalsh(sym))
     return sym
 
 

@@ -4,6 +4,8 @@ Every function takes a numpy Generator so that a single recorded seed
 replays an entire sweep byte-for-byte.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -28,21 +30,23 @@ def dirichlet_rows(rng: np.random.Generator, sizes: np.ndarray, width: int) -> n
     return probability_rows(draws / draws.sum(axis=1, keepdims=True))
 
 
+@functools.cache
+def _factorization_table(max_total: int, max_axes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of 2..max_axes axes of 2..6 with product at most `max_total`, padded with 1s,
+    and cumulative weights 5^(max_axes - k) for k axes: the law of redrawing until it fits."""
+    rows = np.array([axes + (1,) * (max_axes - k) for k in range(2, max_axes + 1)
+                     for axes in itertools.product(range(2, 7), repeat=k)
+                     if math.prod(axes) <= max_total])
+    return rows, np.cumsum(5 ** (max_axes - (rows > 1).sum(axis=1)))
+
+
 def random_factorizations(
     rng: np.random.Generator, count: int, max_total: int = 64, max_axes: int = 4
 ) -> np.ndarray:
     """(count, max_axes) dims: at least two axes of 2..6 with product at most
-    `max_total`, padded with 1s."""
-    dims = np.ones((count, max_axes), dtype=int)
-    todo = np.arange(count)
-    while todo.size:
-        num_axes = rng.integers(2, max_axes + 1, size=(todo.size, 1))
-        draw = rng.integers(2, 7, size=(todo.size, max_axes))
-        draw[np.arange(max_axes) >= num_axes] = 1
-        fits = draw.prod(axis=1) <= max_total
-        dims[todo[fits]] = draw[fits]
-        todo = todo[~fits]
-    return dims
+    `max_total`, padded with 1s; one exact table draw per row."""
+    rows, cumulative = _factorization_table(max_total, max_axes)
+    return rows[np.searchsorted(cumulative, rng.integers(cumulative[-1], size=count), "right")]
 
 
 def random_factorization(
@@ -58,7 +62,7 @@ def _ginibre(rng: np.random.Generator, shape: tuple, dim: int, rank: int) -> np.
     g.real = rng.standard_normal(g.shape)
     g.imag = rng.standard_normal(g.shape)
     m = g @ np.swapaxes(g.conj(), -1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    return np.divide(m, np.trace(m, axis1=-2, axis2=-1)[..., None, None], out=m)
 
 
 def ginibre_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> DensityMatrix:

@@ -15,7 +15,7 @@ from quditcorr import Factorization, MultiIndex, QuditSplit, compose, decompose,
 from quditcorr._kernels import split_entropies
 from quditcorr.classical import probability_rows
 from quditcorr.fuzz import blocks, draw_products, split_mutual_information
-from quditcorr.quantum import block_reductions, validate_stack
+from quditcorr.quantum import block_reductions, stack_spectra
 
 
 def shannon_ref(values) -> float:
@@ -163,8 +163,9 @@ def n_dot_j_tomogram(rho: np.ndarray, theta: float, phi: float) -> np.ndarray:
 
 def quantum_margin_per_split(block) -> np.ndarray:
     """The fuzz quantum family's margins, one dimension class and one split
-    point at a time: each (class, split) group validates its own two reduced
-    stacks and takes their entropies and its states' joint entropies.
+    point at a time: each (class, split) group takes the spectra of its own two
+    reduced stacks through `stack_spectra`, as quantum_margin does per reduced
+    dimension, and its states' joint entropies.
 
     It checks the batching (one validated stack per reduced dimension, slots
     scattered back per sample and split); `brute_force_reduction` checks the
@@ -176,7 +177,7 @@ def quantum_margin_per_split(block) -> np.ndarray:
     for rows, states, spectra in classes:
         for dl in sorted(set(d_left[rows][has_split[rows]].tolist())):
             sample, split = np.nonzero((d_left[rows] == dl) & has_split[rows])
-            reduced = [validate_stack(m)[1] for m in block_reductions(states[sample], dl)]
+            reduced = [stack_spectra(m) for m in block_reductions(states[sample], dl)]
             out[rows[sample], split] = split_entropies(*reduced, spectra[sample])[3]
     return out[has_split]
 

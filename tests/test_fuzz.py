@@ -1,9 +1,11 @@
 """The stacked fuzz families against the scalar public API, sample by sample,
 and the stacked checks against the scalar constructors, row by row."""
 
+import itertools
 import json
 import math
-import tracemalloc
+import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +42,7 @@ from quditcorr import (
     validate,
 )
 from quditcorr import fuzz
+from quditcorr._kernels import shannon
 from quditcorr.cli import main
 from quditcorr.classical import probability_rows
 from quditcorr.fuzz import (
@@ -58,8 +61,9 @@ from quditcorr.fuzz import (
     tomographic_margin,
 )
 from quditcorr.qubit_qutrit import bloch_probabilities
-from quditcorr.quantum import certify_stack, validate_stack
-from quditcorr.sampling import _ginibre, bloch_ball_stack
+from quditcorr.quantum import certify_stack, stack_spectra, validate_stack
+from quditcorr.sampling import _factorization_table, _ginibre, bloch_ball_stack
+from quditcorr.sampling import random_factorizations
 from quditcorr.tolerances import PSD_ATOL
 from quditcorr.tomography import check_angles
 
@@ -209,9 +213,10 @@ def test_quantum_margin_validates_one_stack_per_reduced_dimension(monkeypatch):
 
     def counting(m):
         calls.append(m.shape[-1])
-        return validate_stack(m)
+        return stack_spectra(m)
 
-    monkeypatch.setattr(fuzz, "validate_stack", counting)
+    monkeypatch.setattr(fuzz, "stack_spectra", counting)
+    seen = set()
     for block in _quantum_blocks():
         reduced = set()
         for row in block[0]:
@@ -221,6 +226,8 @@ def test_quantum_margin_validates_one_stack_per_reduced_dimension(monkeypatch):
         calls.clear()
         quantum_margin(block)
         assert sorted(calls) == sorted(reduced)
+        seen |= reduced
+    assert 2 in seen  # the closed-form 2 x 2 stack is one of them
 
 
 def test_infinite_margins_are_counted_not_minimized():
@@ -239,20 +246,43 @@ def test_nan_margin_raises_naming_family_and_count():
         run_families(np.random.default_rng(0), 3, table)
 
 
-def test_a_run_holds_one_block_at_a_time():
-    # Each block and its margins are freed before the next draw, so four blocks peak
-    # where one does; a block kept alive through the next draw reads about 1.4x.
+def _arrays(block):
+    """Every ndarray in a block of nested tuples and lists."""
+    if isinstance(block, np.ndarray):
+        yield block
+    elif isinstance(block, (tuple, list)):
+        for part in block:
+            yield from _arrays(part)
+
+
+def _live_arrays_at_each_draw(keep_previous: bool) -> list[int]:
+    """Run the table with every draw wrapped; at each draw, count the arrays of earlier
+    blocks still alive.  With keep_previous, each wrapper holds its last block."""
+    refs, live, kept = [], [], {}
+
+    def wrap(draw):
+        def wrapped(rng, size):
+            live.append(sum(ref() is not None for ref in refs))
+            block = draw(rng, size)
+            refs.extend(weakref.ref(a) for a in _arrays(block))
+            if keep_previous:
+                kept[draw] = block
+            return block
+        return wrapped
+
     table = family_table(QS)
-    run_families(np.random.default_rng(1), 8, table)  # warm caches and lazy imports
-    peaks = []
-    for count in (BLOCK, 4 * BLOCK):
-        tracemalloc.start()
-        try:
-            run_families(np.random.default_rng(1), count, table)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.05 * peaks[0]
+    wrappers = {f.draw: wrap(f.draw) for f in table}
+    run_families(np.random.default_rng(1), 3 * BLOCK, [f._replace(draw=wrappers[f.draw])
+                                                       for f in table])
+    assert len(live) == 3 * len(wrappers)  # three blocks per draw
+    return live
+
+
+def test_a_run_holds_one_block_at_a_time():
+    # Every array of a block, and of every block before it, is freed before the next
+    # draw, whichever family draws next; a draw that keeps its last block fails this.
+    assert not any(_live_arrays_at_each_draw(keep_previous=False))
+    assert all(_live_arrays_at_each_draw(keep_previous=True)[1:])
 
 
 def _raises_like(scalar, stacked):
@@ -270,23 +300,48 @@ def _with_row(rows, bad, at=2):
 
 
 _STATES = np.array([random_density(np.random.default_rng(k), 3) for k in range(5)])
+_QUBIT_STATES = np.array([random_density(np.random.default_rng(k), 2) for k in range(5)])
 _BAD_STATES = {
     "not_hermitian": (np.diag([0.5, 0.3, 0.2]) + np.triu(np.full((3, 3), 0.1), 1), NotHermitian),
     "trace": (np.diag([0.5, 0.3, 0.3]), TraceNotOne),
     "not_psd": (np.diag([1.2, -0.1, -0.1]), NotPSD),
     "nan": (np.full((3, 3), np.nan), NotHermitian),
+    # 2 x 2 rows, which stack_spectra checks on its closed-form path
+    "qubit_not_hermitian": (np.diag([0.6, 0.4]) + np.triu(np.full((2, 2), 0.1), 1), NotHermitian),
+    "qubit_trace": (np.diag([0.6, 0.5]), TraceNotOne),
+    "qubit_not_psd": (np.array([[0.5, 0.6j], [-0.6j, 0.5]]), NotPSD),
+    "qubit_nan": (np.full((2, 2), np.nan), NotHermitian),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_STATES))
 def test_bad_state_in_stack_raises_like_density_matrix(case):
     bad, error = _BAD_STATES[case]
+    dim = bad.shape[0]
     with pytest.raises(error):
         DensityMatrix(bad)
-    for check in (validate_stack, certify_stack):
-        _raises_like(lambda: DensityMatrix(bad), lambda: check(_with_row(_STATES, bad)))
-    sweep = (bad, SpinRep(1.0), Factorization((3, 1)), [Direction(0.3, 0.4)])
+    stack = _with_row(_STATES if dim == 3 else _QUBIT_STATES, bad)
+    for check in (validate_stack, certify_stack, stack_spectra):
+        _raises_like(lambda: DensityMatrix(bad), lambda: check(stack))
+    sweep = (bad, SpinRep((dim - 1) / 2), Factorization((dim, 1)), [Direction(0.3, 0.4)])
     _raises_like(lambda: DensityMatrix(bad), lambda: direction_sweep(*sweep))
+
+
+def test_qubit_spectra_match_eigvalsh():
+    rng = np.random.default_rng(29)
+    p = np.linspace(0.0, 1.0, 11)
+    states = np.concatenate([
+        _ginibre(rng, (10_000,), 2, 2),  # full rank
+        _ginibre(rng, (10_000,), 2, 1),  # rank 1
+        [np.eye(2) / 2],
+        np.stack([p, 1.0 - p], axis=1)[:, :, None] * np.eye(2),  # diagonal, pure at the ends
+    ])
+    got, expected = stack_spectra(states), np.linalg.eigvalsh(states)  # refuses no row
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-14
+    assert np.abs(shannon(got) - shannon(expected)).max() <= 1e-13
+    assert np.array_equal(got[20_000], [0.5, 0.5])  # I/2, and the pure diagonal ends:
+    assert np.array_equal(got[[20_001, 20_011]], [[0.0, 1.0], [0.0, 1.0]])
 
 
 def _rotated(eigenvalues):
@@ -366,6 +421,39 @@ def test_ginibre_fills_the_stream_of_real_then_imaginary_parts():
     expected = m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
     assert _ginibre(rng, (5,), 4, 3).tobytes() == expected.tobytes()
     assert rng.standard_normal() == reference.standard_normal()
+
+
+def _rejection_law(max_total, max_axes):
+    """Row -> probability under the rejection rule, enumerated draw by draw: k uniform on
+    2..max_axes, max_axes axes uniform on 2..6, those past k set to 1, kept if they fit."""
+    law = Counter()
+    for k in range(2, max_axes + 1):
+        for draw in itertools.product(range(2, 7), repeat=max_axes):
+            row = draw[:k] + (1,) * (max_axes - k)
+            if math.prod(row) <= max_total:
+                law[row] += 1.0 / ((max_axes - 1) * 5**max_axes)
+    kept = sum(law.values())
+    return {row: weight / kept for row, weight in law.items()}
+
+
+@pytest.mark.parametrize("max_total, max_axes", [(64, 4), (16, 3)])
+def test_factorization_table_is_the_law_of_the_rejection_rule(max_total, max_axes):
+    law = _rejection_law(max_total, max_axes)
+    rows, cumulative = _factorization_table(max_total, max_axes)
+    table = dict(zip(map(tuple, rows.tolist()), np.diff(cumulative, prepend=0) / cumulative[-1]))
+    assert table.keys() == law.keys() and len(rows) == len(table)
+    assert max(abs(table[row] - p) for row, p in law.items()) <= 1e-15
+
+    count = 100_000
+    draws = random_factorizations(np.random.default_rng(41), count, max_total, max_axes)
+    assert draws.shape == (count, max_axes)
+    axes = draws > 1
+    assert (axes.sum(axis=1) >= 2).all() and (axes[:, :-1] >= axes[:, 1:]).all()  # 1s pad
+    assert ((draws >= 1) & (draws <= 6)).all() and (draws.prod(axis=1) <= max_total).all()
+    seen = Counter(map(tuple, draws.tolist()))
+    assert seen.keys() <= law.keys()
+    for row, p in law.items():
+        assert abs(seen[row] - count * p) <= 5.0 * math.sqrt(count * p * (1.0 - p))
 
 
 _PROBS = np.random.default_rng(3).dirichlet(np.ones(4), size=5)
