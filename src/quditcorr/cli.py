@@ -144,6 +144,7 @@ def _cmd_analyze_prob(args) -> Report:
     left, right = report.left, report.right
     # A block of one axis is that axis's marginal already.
     blocks = {(1, split.s): left, (split.s + 1, num_axes): right}
+    verdict = check("subadditivity", report.mutual_info, SUBADDITIVITY_ATOL)
 
     results = {
         "units": "nats",
@@ -159,9 +160,9 @@ def _cmd_analyze_prob(args) -> Report:
         "S_right": report.s_right,
         "S_joint": report.s_joint,
         "mutual_info": report.mutual_info,
-        "subadditivity_holds": report.holds,
+        "subadditivity_holds": verdict.holds,
     }
-    checks = [check("subadditivity", report.mutual_info, SUBADDITIVITY_ATOL)]
+    checks = [verdict]
 
     if qs:
         suite = results["tsallis"] = {}

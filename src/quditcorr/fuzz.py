@@ -129,7 +129,7 @@ def tomographic_margin(block):
     """Mutual tomographic information of each state at its own direction, split 2 x 2; the
     block is one slab of the tomogram kernel, so each margin equals the scalar API's."""
     states, theta, phi = block
-    values, _ = tomogram_values(tomogram_diagonals(spin_rep(1.5), theta, phi, states), states)
+    values, _ = tomogram_values(tomogram_diagonals(spin_rep(1.5), theta, phi, states))
     return split_entropies(*map(probability_rows, block_marginals(values, 2)), values)[3]
 
 

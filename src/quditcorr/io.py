@@ -32,17 +32,22 @@ def _read(path: Path, parse=str):
         raise UsageError(f"{path}: {exc}") from None
 
 
+class _Constant(str):
+    """A JSON NaN, Infinity or -Infinity, which json.loads accepts; _numbers refuses it."""
+
+
 def _read_json(path: Path):
     """(parsed JSON of the UTF-8 file, whether its text holds a 't' or an 'f').
     A JSON true or false puts one there, so without either no value is one."""
-    return _read(path, lambda text: (json.loads(text), "t" in text or "f" in text))
+    return _read(path, lambda text: (json.loads(text, parse_constant=_Constant),
+                                     "t" in text or "f" in text))
 
 
 def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.ndarray:
     """`value`, parsed from the JSON file `path`, as a float array (of `shape` if given);
-    anything else raises UsageError(f"{path}: {what}: {cause}"). numpy would read a JSON
-    true, false, null or string as 1, 0, NaN or the number it spells, so they are looked for:
-    true and false if the text may hold one, null and strings if numpy reads objects or text."""
+    anything else raises UsageError(f"{path}: {what}: {cause}"). numpy would read a JSON true,
+    false, null, string or _Constant (NaN, Infinity) as a number, so they are looked for: true
+    and false if the text may hold one, the rest if numpy reads objects or text."""
     try:
         array = np.array(value)
         stack = [value] if booleans or array.dtype.kind in "OU" else []
@@ -54,6 +59,8 @@ def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.nda
                 raise TypeError("true and false are not numbers")
             elif item is None:
                 raise TypeError("null is not a number")
+            elif isinstance(item, _Constant):
+                raise TypeError(f"{item} is not a number")
             elif isinstance(item, str):
                 raise TypeError("strings are not numbers")
         if shape is not None and array.shape != shape:
@@ -71,8 +78,8 @@ def load_probability_vector(path) -> ProbabilityVector:
             raise UsageError(f"{path}: expected a JSON array of probabilities")
         values = _numbers(path, data, "probabilities must be numeric", booleans)
     else:
-        values = []
-        for line_number, line in enumerate(_read(path).splitlines(), 1):
+        values, lines = [], _read(path).splitlines()
+        for line_number, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
@@ -81,6 +88,11 @@ def load_probability_vector(path) -> ProbabilityVector:
             except ValueError:
                 raise UsageError(f"{path}:{line_number}: not a number: {line!r}") from None
         values = np.array(values, dtype=float)  # floats: one pass, no search for text
+        finite = np.isfinite(values)
+        if not finite.all():
+            numbered = [(n, line.strip()) for n, line in enumerate(lines, 1) if line.strip()]
+            line_number, line = numbered[int(finite.argmin())]
+            raise UsageError(f"{path}:{line_number}: not a finite number: {line!r}")
     if not len(values):
         raise UsageError(f"{path}: no probabilities found")
     return ProbabilityVector(values)

@@ -5,9 +5,9 @@ exactly one tunable surface.  Reports must quote the tolerance a value was
 judged against; handlers pull the same constants.
 """
 
-# Probability ingestion: entries in [-PROB_NEG_CLAMP, 0) are zeroed, anything
-# lower is rejected; the entry sum must match 1 this tightly before the
-# vector is renormalized.
+# Probability tables: entries of an ingested vector or a tomogram in
+# [-PROB_NEG_CLAMP, 0) are zeroed, anything lower is rejected; an ingested
+# vector's sum must match 1 within PROB_SUM_ATOL before it is renormalized.
 PROB_NEG_CLAMP = 1e-12
 PROB_SUM_ATOL = 1e-12
 
@@ -27,7 +27,6 @@ DEMO_LINEAR_ENTROPY_ATOL = 1e-12  # demo linear entropy against 1/2
 
 # Tomograms.
 TOMOGRAM_SUM_ATOL = 1e-10        # normalization check before renormalizing
-TOMOGRAM_NEG_CLAMP = 1e-12      # floating-point negative clamp window
 SPIN_J_ATOL = 1e-9               # how far 2j may sit from an integer
 
 # Qubit and qutrit probability parametrizations.

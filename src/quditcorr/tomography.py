@@ -25,13 +25,7 @@ from .classical import ProbabilityVector, TsallisParam, block_marginals, probabi
 from .errors import DomainError, UsageError
 from .partition import Factorization, numeric_array, real
 from .quantum import DensityMatrix, certify_stack
-from .tolerances import (
-    PSD_ATOL,
-    SPIN_J_ATOL,
-    SUBADDITIVITY_ATOL,
-    TOMOGRAM_NEG_CLAMP,
-    TOMOGRAM_SUM_ATOL,
-)
+from .tolerances import PROB_NEG_CLAMP, PSD_ATOL, SPIN_J_ATOL, SUBADDITIVITY_ATOL, TOMOGRAM_SUM_ATOL
 
 
 @dataclass(frozen=True)
@@ -184,11 +178,15 @@ class TomogramTable:
 def tomogram(state: DensityMatrix, rep: SpinRep, direction: Direction) -> TomogramTable:
     """Spin-projection distribution along `direction`, from tomogram_diagonals.
 
-    `state` is given in the same |m>-descending basis as `rep`.
+    `state` is a DensityMatrix, given in the same |m>-descending basis as `rep`; its
+    matrix is exactly Hermitian, which is what makes each table real.
     """
+    if not isinstance(state, DensityMatrix):
+        raise UsageError(f"tomogram takes a DensityMatrix, not {type(state).__name__}: "
+                         "build one with validate(matrix)")
     _check_dimension(state.matrix.shape, rep)
     diagonals = tomogram_diagonals(rep, direction.theta, direction.phi, state.matrix)
-    values, error = tomogram_values(diagonals, state.matrix)
+    values, error = tomogram_values(diagonals)
     values.flags.writeable = False
     return TomogramTable(direction=direction, values=values, normalization_error=float(error))
 
@@ -233,22 +231,17 @@ def tomogram_diagonals(rep: SpinRep, theta, phi, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def tomogram_values(diagonals: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked, renormalized tables in flat-index order from the raw (..., N) diagonals
-    of rho, one (N, N) matrix or a stack of them, and |raw sum - 1| per table.
+def tomogram_values(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, renormalized tables in flat-index order from raw (..., N) diagonals, and
+    |raw sum - 1| per table.
 
-    The real kernel never forms Im w(m | n).  ||rho - rho^dagger||_F / 2 bounds it at
-    every direction, since the rows of d are unit vectors and P keeps the moduli of
-    rho's entries, so that norm is checked once per matrix, against TOMOGRAM_SUM_ATOL.
+    The real kernel never forms Im w(m | n).  It is 0: every caller takes its diagonals
+    of a matrix the state checks returned, whose (m + m^dagger) / 2 is exactly Hermitian.
     """
     # Every check below also fails on NaN.
-    skew = np.linalg.norm(rho - np.conj(np.swapaxes(rho, -1, -2)), axis=(-2, -1)) / 2.0
-    if not float(skew.max()) <= TOMOGRAM_SUM_ATOL:
-        raise DomainError(f"tomogram input has anti-Hermitian part {skew.max():.3e}, "
-                          f"above {TOMOGRAM_SUM_ATOL:.0e}")
     values = diagonals[..., ::-1].copy()  # storage is m descending; tables are y-ordered
     low = float(values.min())
-    if not low >= -TOMOGRAM_NEG_CLAMP:
+    if not low >= -PROB_NEG_CLAMP:
         raise DomainError(f"tomogram value {low:.3e} below the clamp window")
     if not float(values.max()) <= 1.0 + PSD_ATOL:
         raise DomainError(f"tomogram value {values.max():.3e} exceeds 1")
@@ -283,8 +276,8 @@ def tomographic_marginals(
     table: TomogramTable, factorization: Factorization
 ) -> tuple[ProbabilityVector, ProbabilityVector]:
     """Marginals of the tomogram viewed through a two-axis partition."""
-    first, second = marginal_pair(table.values, factorization)
-    return ProbabilityVector(first), ProbabilityVector(second)
+    _check_partition(factorization, table.values.shape[-1])
+    return tuple(map(ProbabilityVector, block_marginals(table.values, factorization.dims[0])))
 
 
 @dataclass(frozen=True)
@@ -364,8 +357,8 @@ def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs
     rho = certify_stack(rho)
     _check_partition(factorization, rep.dim)
     theta, phi = (np.array([getattr(d, name) for d in directions]) for name in ("theta", "phi"))
-    values, errors = tomogram_values(tomogram_diagonals(rep, theta, phi, rho), rho)
-    first, second = marginal_pair(values, factorization)
+    values, errors = tomogram_values(tomogram_diagonals(rep, theta, phi, rho))
+    first, second = map(probability_rows, block_marginals(values, factorization.dims[0]))
     entropies = {tq.q: np.array(_kernels.split_entropies(first, second, values, tq.q)) for tq in qs}
     information = _kernels.split_entropies(first, second, values)[3]
     return Sweep(directions, values, errors, information, entropies)

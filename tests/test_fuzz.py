@@ -6,7 +6,6 @@ import json
 import math
 import weakref
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,7 +64,7 @@ from quditcorr.quantum import certify_stack, stack_spectra, validate_stack
 from quditcorr.sampling import _factorization_table, _ginibre, bloch_ball_stack
 from quditcorr.sampling import random_factorizations
 from quditcorr.tolerances import PSD_ATOL
-from quditcorr.tomography import check_angles
+from quditcorr.tomography import check_angles, tomogram_diagonals, tomogram_values
 
 QS = [TsallisParam(q) for q in (0.5, 1.5, 2.0, 3.0)]
 COUNT = BLOCK + 44  # one full block and one partial block
@@ -135,12 +134,18 @@ SCALAR = {
 }
 
 
-def _assert_same(stacked, scalar):
+# These families' stacked margins sum in another order than the scalar API (bincount
+# marginals, batched and closed-form spectra); over seeds 0-11 x 2,000 samples they differ
+# by at most 2.7e-15.  Every other family's margins equal the scalar API's bit for bit.
+_REORDERED = ("classical_subadditivity", "quantum_mutual_information", "classical_product")
+
+
+def _assert_same(stacked, scalar, atol=1e-12):
     stacked, scalar = np.asarray(stacked), np.asarray(scalar)
     assert stacked.shape == scalar.shape
     assert (np.isinf(stacked) == np.isinf(scalar)).all()
     finite = np.isfinite(scalar)
-    assert np.abs(stacked[finite] - scalar[finite]).max() <= 1e-12
+    assert np.abs(stacked[finite] - scalar[finite]).max() <= atol
 
 
 def test_tomographic_block_equals_single_tomograms_bit_for_bit():
@@ -162,7 +167,10 @@ def test_every_sample_matches_the_scalar_api():
         for block in blocks(rng, COUNT, draw):
             for family in (f for f in table if f.draw is draw):
                 stacked, scalar = family.margin(block), SCALAR[family.name](block)
-                _assert_same(stacked, scalar)
+                if family.name in _REORDERED:
+                    _assert_same(stacked, scalar, atol=1e-13)
+                else:
+                    assert np.array_equal(stacked, scalar), family.name
                 finite = [v for v in scalar if not math.isinf(v)]
                 expected_min[family.name] = min(expected_min.get(family.name, math.inf), *finite)
                 expected_inf[family.name] = (
@@ -170,7 +178,7 @@ def test_every_sample_matches_the_scalar_api():
                 )
     assert margins.keys() == expected_min.keys()
     for name, value in margins.items():
-        assert abs(value - expected_min[name]) <= 1e-12
+        assert abs(value - expected_min[name]) <= (1e-13 if name in _REORDERED else 0.0)
     assert infinities == {k: v for k, v in expected_inf.items() if v}
 
 
@@ -482,18 +490,13 @@ def test_bad_direction_row_raises_like_direction(angle, bad):
     _raises_like(lambda: Direction(**single), lambda: check_angles(**angles))
 
 
-# A negative value, NaN, and an anti-Hermitian part whose norm ||rho - rho^dagger||_F / 2
-# is sqrt(6) 1e-10, above the TOMOGRAM_SUM_ATOL bound.
-@pytest.mark.parametrize("bad", [
-    np.diag([1.2, -0.2, 0.0, 0.0]),
-    np.full((4, 4), np.nan),
-    np.eye(4) / 4 + 1e-10 * (np.eye(4, k=1) - np.eye(4, k=-1)),
-])
+# A negative tomogram value and NaN, raised as the kernel raises them on the bad row alone.
+# `tomogram` never sees such a matrix: building its DensityMatrix refuses it.
+@pytest.mark.parametrize("bad", [np.diag([1.2, -0.2, 0.0, 0.0]), np.full((4, 4), np.nan)])
 def test_bad_tomogram_row_raises_like_single_tomogram(bad):
     states = _with_row([random_density(np.random.default_rng(k), 4) for k in range(5)], bad)
     theta, phi = np.linspace(0.0, 1.0, 5), np.linspace(0.5, 2.0, 5)
-    single = SimpleNamespace(dim=4, matrix=bad)
     _raises_like(
-        lambda: tomogram(single, spin_rep(1.5), Direction(theta[2], phi[2])),
+        lambda: tomogram_values(tomogram_diagonals(spin_rep(1.5), theta[2], phi[2], bad)),
         lambda: tomographic_margin((states, theta, phi)),
     )

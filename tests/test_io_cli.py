@@ -312,7 +312,7 @@ class TestTomogramSweep:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and angle in err
+        assert err == f"error: {grid_path}: entry 0 has a non-numeric angle: NaN is not a number\n"
 
     def test_records_and_tsallis_check_match_the_sweep(self, tmp_path, capsys):
         # Each line is what json.dumps(jsonable(record), sort_keys=True) writes for the
@@ -384,16 +384,28 @@ _BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
 # else as JSON) or None, dims, exit code, message fragment)
 _MALFORMED = [
     ("all_nan_2x2", "analyze-dm", {"dim": 2, "re": [[math.nan] * 2] * 2}, None, "2,1", 2,
-     "rho^dagger"),
-    ("nan_diagonal_analyze", "analyze-dm", _nan_diagonal_4x4(), None, "2,2", 2, "rho^dagger"),
-    ("nan_diagonal_sweep", "tomogram-sweep", _nan_diagonal_4x4(), None, "2,2", 2, "rho^dagger"),
+     "input.json: 'dim', 're' and 'im' must be numeric: NaN is not a number"),
+    ("nan_diagonal_analyze", "analyze-dm", _nan_diagonal_4x4(), None, "2,2", 2,
+     "input.json: 'dim', 're' and 'im' must be numeric: NaN is not a number"),
+    ("nan_diagonal_sweep", "tomogram-sweep", _nan_diagonal_4x4(), None, "2,2", 2,
+     "input.json: 'dim', 're' and 'im' must be numeric: NaN is not a number"),
+    ("nan_dim", "analyze-dm", {"dim": math.nan, "re": (np.eye(4) / 4).tolist()}, None, "2,2", 2,
+     "input.json: 'dim', 're' and 'im' must be numeric: NaN is not a number"),
     ("string_matrix", "analyze-dm", {"re": "x"}, None, "2,1", 2, "must be numeric"),
     ("string_angle", "tomogram-sweep", _BELL, [{"theta": "x", "phi": 0.1}], "2,2", 2,
      "entry 0 has a non-numeric angle"),
-    ("inf_csv_row", "analyze-prob", "inf\n0\n0\n0\n", None, "2,2", 2, "sum to inf"),
-    ("nan_csv_row", "analyze-prob", "nan\n0.5\n0.25\n0.25\n", None, "2,2", 2, "contains NaN"),
+    ("inf_csv_row", "analyze-prob", "inf\n0\n0\n0\n", None, "2,2", 2,
+     "p.csv:1: not a finite number: 'inf'"),
+    ("nan_csv_row", "analyze-prob", "nan\n0.5\n0.25\n0.25\n", None, "2,2", 2,
+     "p.csv:1: not a finite number: 'nan'"),
+    ("nan_csv_row_after_blank_lines", "analyze-prob", "0.5\n\n  \n0.25\n NaN \n", None, "3,1",
+     2, "p.csv:5: not a finite number: 'NaN'"),
+    ("overflowing_csv_row", "analyze-prob", "0.5\n1e400\n", None, "2,1", 2,
+     "p.csv:2: not a finite number: '1e400'"),
     ("negative_infinity_json", "analyze-prob", [-math.inf, 1, 0, 0], None, "2,2", 2,
-     "negative probability"),
+     "input.json: probabilities must be numeric: -Infinity is not a number"),
+    ("infinity_angle", "tomogram-sweep", _BELL, [{"theta": 0.1, "phi": math.inf}], "2,2", 2,
+     "grid.json: entry 0 has a non-numeric angle: Infinity is not a number"),
     ("nan_q", "analyze-prob --q nan", [0.25] * 4, None, "2,2", 2, "Tsallis q = nan"),
     ("string_probability", "analyze-prob", ["a", 0.5], None, "2,1", 2, "must be numeric"),
     ("object_probability", "analyze-prob", [{"x": 1}], None, "1,1", 2, "must be numeric"),

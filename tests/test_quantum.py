@@ -31,6 +31,7 @@ from quditcorr._kernels import split_entropies
 from quditcorr.classical import block_marginals
 from quditcorr.io import write_density_matrix
 from quditcorr.quantum import block_reductions
+from quditcorr.tolerances import HERMITIAN_ATOL
 
 LN2 = math.log(2.0)
 # Every layout of N <= 16 levels with at least two axes of two or more levels, then unit-axis
@@ -75,6 +76,22 @@ class TestValidate:
     def test_requires_square(self):
         with pytest.raises(UsageError):
             validate(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 16, 64, 256])
+    def test_checked_matrices_are_exactly_hermitian(self, n):
+        # The tomogram kernel never forms Im w(m | n); it relies on this invariant of the
+        # state checks: whatever skew they accept, the matrix they return has none.
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n)) + 1.0j * rng.standard_normal((n, n))
+        skew = (g - g.conj().T) / 2.0
+        skew -= np.trace(skew) / n * np.eye(n)  # keeps the trace at 1
+        skew *= 0.9 * HERMITIAN_ATOL / (2.0 * np.abs(skew).max())  # |m - m^dagger| <= 0.9 ATOL
+        m = random_density(rng, n) + skew
+        assert np.abs(np.diagonal(m).imag).max() > 0.0
+        for checked in (DensityMatrix(m).matrix, quantum.validate_stack(m)[0],
+                        quantum.certify_stack(m)):
+            assert np.array_equal(checked, checked.conj().T)
+            assert not np.diagonal(checked).imag.any()
 
     def test_reshaped_requires_matching_total(self):
         with pytest.raises(UsageError, match="dimension mismatch"):

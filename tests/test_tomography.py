@@ -223,27 +223,29 @@ class TestTomogram:
             tomogram(validate(np.eye(2) / 2), SpinRep(1.0), Direction(0.0, 0.0))
 
     def test_nan_state_raises(self):
+        # Only a DensityMatrix reaches the kernel, so a NaN matrix is refused as a fake.
         state = SimpleNamespace(dim=4, matrix=np.full((4, 4), math.nan, dtype=complex))
-        with pytest.raises(DomainError, match="tomogram"):
+        with pytest.raises(UsageError, match="tomogram takes a DensityMatrix, not SimpleNamespace"):
+            tomogram(state, SpinRep(1.5), Direction(0.3, 0.4))
+
+    @pytest.mark.parametrize("state", [
+        SimpleNamespace(dim=4, matrix=np.eye(4, dtype=complex) / 4),
+        np.eye(4) / 4,
+    ], ids=["namespace", "ndarray"])
+    def test_refuses_what_is_not_a_density_matrix(self, state):
+        with pytest.raises(UsageError, match="build one with validate"):
             tomogram(state, SpinRep(1.5), Direction(0.3, 0.4))
 
     def test_anti_hermitian_bound(self):
-        # eps (i E_00 + E_03 - E_30) is anti-Hermitian with ||.||_F = sqrt(3) eps; the
-        # bound on ||rho - rho^dagger||_F / 2 is TOMOGRAM_SUM_ATOL = 1e-10.
+        # The sweep checks its matrix as validate does: eps (i E_00 + E_03 - E_30) has the
+        # entrywise gap |rho - rho^dagger|_00 = 2 eps, above HERMITIAN_ATOL at eps = 0.58e-10,
+        # so it is refused before any tomogram.
         rep, f, direction = SpinRep(1.5), Factorization((2, 2)), Direction(0.7, 1.1)
         skew = np.zeros((4, 4), dtype=complex)
         skew[0, 0], skew[0, 3], skew[3, 0] = 1j, 1.0, -1.0
-        hermitian = random_density(np.random.default_rng(37), 4)
-        expected = tomogram(validate(hermitian), rep, direction).values
-        below = SimpleNamespace(dim=4, matrix=hermitian + 0.57e-10 * skew)
-        assert np.abs(tomogram(below, rep, direction).values - expected).max() <= 1e-12
-        above = SimpleNamespace(dim=4, matrix=hermitian + 0.58e-10 * skew)
-        with pytest.raises(DomainError, match="anti-Hermitian part 1.005e-10"):
-            tomogram(above, rep, direction)
-        # The sweep checks its matrix as validate does, and the entrywise gap
-        # |rho - rho^dagger|_00 = 2 * 0.58e-10 exceeds HERMITIAN_ATOL before any tomogram.
+        above = random_density(np.random.default_rng(37), 4) + 0.58e-10 * skew
         with pytest.raises(NotHermitian, match=r"max \|rho - rho\^dagger\| = 1\.160e-10"):
-            direction_sweep(above.matrix, rep, f, [direction])
+            direction_sweep(above, rep, f, [direction])
 
     def test_matches_qubit_probabilities(self):
         # The x/y/z tomograms of a qubit reproduce (p1, p2, p3).
@@ -502,7 +504,7 @@ class TestLargeSpinOracle:
         sweep = direction_sweep(state.matrix, rep, f, self.DIRECTIONS, (TsallisParam(2.0),))
         theta, phi = (np.array([getattr(d, a) for d in self.DIRECTIONS]) for a in ("theta", "phi"))
         states = np.array([state.matrix] * len(self.DIRECTIONS))
-        stacked, _ = tomogram_values(tomogram_diagonals(rep, theta, phi, states), states)
+        stacked, _ = tomogram_values(tomogram_diagonals(rep, theta, phi, states))
         for k, (direction, row) in enumerate(zip(self.DIRECTIONS, stacked)):
             expected = n_dot_j_tomogram(state.matrix, direction.theta, direction.phi)
             table = tomogram(state, rep, direction)
