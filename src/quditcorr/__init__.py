@@ -6,7 +6,6 @@ from ._version import __version__
 from .classical import (
     JointView,
     ProbabilityVector,
-    SsaReport,
     SubadditivityReport,
     TsallisParam,
     classical_ssa_check,
@@ -54,7 +53,6 @@ from .quantum import (
     von_neumann_entropy,
 )
 from .qubit_qutrit import (
-    InequalityResult,
     QubitProbabilities,
     QutritElements,
     QutritMatrixElements,
@@ -66,6 +64,7 @@ from .qubit_qutrit import (
     qutrit_inequality_shannon,
     qutrit_inequality_tsallis,
 )
+from .reporting import CheckRecord, check
 from .tomography import (
     Direction,
     SpinRep,

@@ -12,6 +12,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConditioningOnNull, DomainError, UsageError
 from .partition import Factorization, QuditSplit, integer, integers, numeric_array, real
+from .reporting import CheckRecord, check
 from .tolerances import PROB_NEG_CLAMP, PROB_SUM_ATOL, SUBADDITIVITY_ATOL
 
 
@@ -217,7 +218,6 @@ class SubadditivityReport:
     s_right: float
     s_joint: float
     mutual_info: float
-    holds: bool
     # The block marginals the entropies were taken from.
     left: ProbabilityVector = field(repr=False, compare=False)
     right: ProbabilityVector = field(repr=False, compare=False)
@@ -227,8 +227,9 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
     """Shannon entropies of the two split blocks and the joint, plus the
     mutual information S_left + S_right - S_joint.
 
-    A violation beyond tolerance is reported, not raised: it signals
-    corrupted upstream data rather than a caller mistake.
+    The report carries no verdict; a caller judges mutual_info with `check`.
+    A violation is reported, not raised: it signals corrupted upstream data
+    rather than a caller mistake.
     """
     split.check_belongs(view.factorization, "view")
     left, right = map(ProbabilityVector, block_marginals(view.base.probs, split.dim_left))
@@ -240,22 +241,14 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
         s_right=s_right,
         s_joint=s_joint,
         mutual_info=mutual,
-        holds=bool(mutual >= -SUBADDITIVITY_ATOL),
         left=left,
         right=right,
     )
 
 
-@dataclass(frozen=True)
-class SsaReport:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def classical_ssa_check(view: JointView, blocks) -> SsaReport:
+def classical_ssa_check(view: JointView, blocks) -> CheckRecord:
     """Strong subadditivity S(1,2) + S(2,3) >= S(1,2,3) + S(2) for a grouping
-    of the axes into three consecutive nonempty blocks.
+    of the axes into three consecutive nonempty blocks: the check record of I(1:3|2).
 
     `blocks` gives the number of axes in each block and must sum to M.  With d1 and d12
     the levels of blocks 1 and 1-2, p12 leads at d12, p23 trails at d1, p2 trails p12 at d1.
@@ -273,4 +266,4 @@ def classical_ssa_check(view: JointView, blocks) -> SsaReport:
     p2 = probability_rows(block_marginals(p12, d1)[1])
     lhs = _kernels.shannon(p12) + _kernels.shannon(p23)
     rhs = _kernels.shannon(view.base.probs) + _kernels.shannon(p2)
-    return SsaReport(lhs=lhs, rhs=rhs, holds=bool(lhs - rhs >= -SUBADDITIVITY_ATOL))
+    return check("strong_subadditivity", lhs - rhs, SUBADDITIVITY_ATOL)

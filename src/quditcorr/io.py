@@ -44,10 +44,10 @@ def _read_json(path: Path):
 
 
 def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.ndarray:
-    """`value`, parsed from the JSON file `path`, as a float array (of `shape` if given);
-    anything else raises UsageError(f"{path}: {what}: {cause}"). numpy would read a JSON true,
-    false, null, string or _Constant (NaN, Infinity) as a number, so they are looked for: true
-    and false if the text may hold one, the rest if numpy reads objects or text."""
+    """`value`, parsed from the JSON file `path`, as a finite float array (of `shape` if
+    given); anything else raises UsageError(f"{path}: {what}: {cause}"). numpy would read a
+    JSON true, false, null, string or _Constant (NaN, Infinity) as a number, so they are looked
+    for: true and false if the text may hold one, the rest if numpy reads objects or text."""
     try:
         array = np.array(value)
         stack = [value] if booleans or array.dtype.kind in "OU" else []
@@ -65,7 +65,10 @@ def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.nda
                 raise TypeError("strings are not numbers")
         if shape is not None and array.shape != shape:
             raise TypeError(f"expected shape {shape}, got {array.shape}")
-        return array.astype(float, copy=False)
+        array = array.astype(float, copy=False)
+        if not np.isfinite(array).all():  # json.loads reads 1e400 as inf
+            raise ValueError("a number beyond the float range is not a finite number")
+        return array
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: {what}: {exc}") from None
 

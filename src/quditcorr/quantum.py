@@ -41,9 +41,11 @@ _PPT_DECISIVE = {(2, 2), (2, 3), (3, 2)}
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
     """Check that each (..., N, N) matrix is Hermitian and of unit trace (both
-    checks also fail on NaN); return the Hermitian parts."""
+    checks also fail on NaN); return the Hermitian parts.  An infinite entry
+    leaves an infinite or NaN gap (inf - inf), so the Hermitian check refuses it."""
     adjoint = np.conj(np.swapaxes(m, -1, -2))
-    herm_gap = float(np.abs(m - adjoint).max())
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm_gap = float(np.abs(m - adjoint).max())
     if not herm_gap <= HERMITIAN_ATOL:
         raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {HERMITIAN_ATOL:.0e}")
     trace_gap = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())

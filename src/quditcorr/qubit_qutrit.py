@@ -6,9 +6,9 @@ projection +1/2 along the x, y, z axes:
 
     rho_{11} = p3,   rho_{12} = (p1 - 1/2) - i (p2 - 1/2)
 
-The inequalities below are relative entropies between two-point
-distributions read off the matrix elements, so each is nonnegative for any
-valid state; math.inf marks a support mismatch.
+The inequalities below are relative entropies between two-point distributions read
+off the matrix elements, so each is nonnegative for any valid state (math.inf marks a
+support mismatch); each returns its check record, named as its fuzz family.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ from .classical import TsallisParam
 from .errors import DomainError, NotPSD, UsageError
 from .partition import real
 from .quantum import DensityMatrix
+from .reporting import CheckRecord, check
 from .tolerances import BLOCH_ATOL, PSD_ATOL, QUTRIT_DIAG_SLOP, SUBADDITIVITY_ATOL
 
 
@@ -86,19 +87,9 @@ def probabilities_from_qubit(state: DensityMatrix) -> QubitProbabilities:
     )
 
 
-@dataclass(frozen=True)
-class InequalityResult:
-    value: float
-    holds: bool
-
-
 def _require_dim(state: DensityMatrix, dim: int) -> None:
     if state.dim != dim:
         raise UsageError(f"expected a {dim}x{dim} density matrix, got {state.dim}x{state.dim}")
-
-
-def _result(value: float) -> InequalityResult:
-    return InequalityResult(value=value, holds=bool(value >= -SUBADDITIVITY_ATOL))
 
 
 def zx_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,17 +106,19 @@ def xy_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _pair(0.5 + re, 0.5 - re), _pair(0.5 - im, 0.5 + im)
 
 
-def qubit_inequality_zx(state: DensityMatrix) -> InequalityResult:
+def qubit_inequality_zx(state: DensityMatrix) -> CheckRecord:
     """Relative entropy of the x-axis distribution against the z-axis one:
     D((1/2 + Re rho12, 1/2 - Re rho12) || (rho11, rho22))."""
     _require_dim(state, 2)
-    return _result(_kernels.relative_shannon(*zx_distributions(state.matrix)))
+    value = _kernels.relative_shannon(*zx_distributions(state.matrix))
+    return check("qubit_zx", value, SUBADDITIVITY_ATOL)
 
 
-def qubit_inequality_xy(state: DensityMatrix) -> InequalityResult:
+def qubit_inequality_xy(state: DensityMatrix) -> CheckRecord:
     """Relative entropy of the x-axis distribution against the y-axis one."""
     _require_dim(state, 2)
-    return _result(_kernels.relative_shannon(*xy_distributions(state.matrix)))
+    value = _kernels.relative_shannon(*xy_distributions(state.matrix))
+    return check("qubit_xy", value, SUBADDITIVITY_ATOL)
 
 
 def qutrit_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,20 +133,22 @@ def qutrit_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _pair(d[..., 0] + d[..., 1], d[..., 2]), _pair(0.5 + re13, 0.5 - re13)
 
 
-def qutrit_inequality_shannon(state: DensityMatrix) -> InequalityResult:
+def qutrit_inequality_shannon(state: DensityMatrix) -> CheckRecord:
     """D((rho11 + rho22, rho33) || (1/2 + Re rho13, 1/2 - Re rho13))."""
     _require_dim(state, 3)
-    return _result(_kernels.relative_shannon(*qutrit_distributions(state.matrix)))
+    value = _kernels.relative_shannon(*qutrit_distributions(state.matrix))
+    return check("qutrit_shannon", value, SUBADDITIVITY_ATOL)
 
 
-def qutrit_inequality_tsallis(state: DensityMatrix, tq: TsallisParam) -> InequalityResult:
+def qutrit_inequality_tsallis(state: DensityMatrix, tq: TsallisParam) -> CheckRecord:
     """Tsallis analog for q > 1:
     (1/(q-1)) [ (rho11+rho22)^q (1/2+Re rho13)^(1-q) + rho33^q (1/2-Re rho13)^(1-q) - 1 ]."""
     if not tq.gated:
         raise UsageError(f"the Tsallis matrix-element inequality needs q > 1, got q = {tq.q}")
     _require_dim(state, 3)
     p, r = qutrit_distributions(state.matrix)
-    return _result(_kernels.relative_tsallis(p, r, tq.q))
+    value = _kernels.relative_tsallis(p, r, tq.q)
+    return check(f"qutrit_tsallis_q={tq.label}", value, SUBADDITIVITY_ATOL)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""Report assembly for the command-line surface.
+"""Verdicts and report assembly.
 
-Every numeric check carries the tolerance it was judged against, and
-rendering is deterministic (sorted keys, repr floats, no timestamps) so
-that identical request + seed produces a byte-identical report.
+`holds` judges every inequality the library checks, and `check` records a verdict with its
+tolerance.  Rendering is deterministic (sorted keys, repr floats, no timestamps) so that
+identical request + seed produces a byte-identical report.
 """
 
 import json
@@ -23,10 +23,15 @@ class CheckRecord:
     tolerance: float
 
 
+def holds(value, tolerance: float, low=0.0, high=math.inf):
+    """The verdict `low - tolerance <= value <= high + tolerance`, elementwise: a margin by
+    default, a ceiling with low = -inf, a closed form with low = high. A NaN never holds."""
+    return (low - tolerance <= value) & (value <= high + tolerance)
+
+
 def check(name: str, value, tolerance: float, low=0.0, high=math.inf) -> CheckRecord:
-    """The verdict `low - tolerance <= value <= high + tolerance`: a margin by default,
-    a ceiling with low = -inf, a closed form with low = high. A NaN never holds."""
-    return CheckRecord(name, value, bool(low - tolerance <= value <= high + tolerance), tolerance)
+    """The record of `holds` for one value."""
+    return CheckRecord(name, value, bool(holds(value, tolerance, low, high)), tolerance)
 
 
 def jsonable(obj):

@@ -25,6 +25,7 @@ from .classical import ProbabilityVector, TsallisParam, block_marginals, probabi
 from .errors import DomainError, UsageError
 from .partition import Factorization, numeric_array, real
 from .quantum import DensityMatrix, certify_stack
+from .reporting import holds
 from .tolerances import PROB_NEG_CLAMP, PSD_ATOL, SPIN_J_ATOL, SUBADDITIVITY_ATOL, TOMOGRAM_SUM_ATOL
 
 
@@ -290,8 +291,8 @@ class TsallisTomogramReport:
 
 def tsallis_reports(table: np.ndarray) -> list[TsallisTomogramReport]:
     """One report per column of a (4, n) table of S_q1, S_q2, S_q and the margin."""
-    holds = table[3] >= -SUBADDITIVITY_ATOL
-    return [TsallisTomogramReport(*row) for row in zip(*table[:3].tolist(), holds.tolist())]
+    verdicts = holds(table[3], SUBADDITIVITY_ATOL).tolist()
+    return [TsallisTomogramReport(*row) for row in zip(*table[:3].tolist(), verdicts)]
 
 
 def tomographic_tsallis_report(

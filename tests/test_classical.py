@@ -21,6 +21,7 @@ from quditcorr import (
     QuditSplit,
     TsallisParam,
     UsageError,
+    check,
     classical_ssa_check,
     conditional,
     decompose,
@@ -34,6 +35,7 @@ from quditcorr import (
     validate,
     von_neumann_entropy,
 )
+from quditcorr.tolerances import SUBADDITIVITY_ATOL
 
 LN2 = math.log(2.0)
 
@@ -349,7 +351,7 @@ class TestSubadditivity:
         view = view_of(np.outer(v, u).ravel(), (2, 2))
         report = subadditivity_report(view, QuditSplit(view.factorization, 1))
         assert abs(report.mutual_info) <= 1e-12
-        assert report.holds
+        assert check("subadditivity", report.mutual_info, SUBADDITIVITY_ATOL).holds
 
     def test_correlated_mixture(self):
         view = view_of([0.5, 0.0, 0.0, 0.5], (2, 2))
@@ -443,29 +445,31 @@ class TestClassicalSsa:
         u, v, w = [0.3, 0.7], [0.6, 0.4], [0.1, 0.9]
         joint = np.einsum("i,j,k->kji", u, v, w).ravel()
         view = view_of(joint, (2, 2, 2))
-        report = classical_ssa_check(view, (1, 1, 1))
-        assert abs(report.lhs - report.rhs) <= 1e-12
-        assert report.holds
+        record = classical_ssa_check(view, (1, 1, 1))
+        assert abs(record.value) <= 1e-12
+        assert record.holds
 
     def test_uniform_equality(self):
         view = view_of([1.0 / 8.0] * 8, (2, 2, 2))
-        report = classical_ssa_check(view, (1, 1, 1))
-        assert abs(report.lhs - report.rhs) <= 1e-12
+        record = classical_ssa_check(view, (1, 1, 1))
+        assert abs(record.value) <= 1e-12
 
     def test_ghz_like_distribution(self):
         values = np.zeros(8)
         values[0] = values[7] = 0.5
         view = view_of(values, (2, 2, 2))
-        report = classical_ssa_check(view, (1, 1, 1))
-        assert abs(report.lhs - 2 * LN2) < 1e-12
-        assert abs(report.rhs - 2 * LN2) < 1e-12
-        assert report.holds
+        record = classical_ssa_check(view, (1, 1, 1))
+        # Both sides, S(1,2) + S(2,3) and S(1,2,3) + S(2), are 2 ln 2.
+        s = lambda *axes: shannon_entropy(marginal(view, axes))
+        assert abs(s(1, 2) + s(2, 3) - 2 * LN2) < 1e-12
+        assert abs(s(1, 2, 3) + s(2) - 2 * LN2) < 1e-12
+        assert abs(record.value) < 1e-12
+        assert record.holds
 
     def test_block_grouping(self):
         rng = np.random.default_rng(19)
         view = view_of(rng.dirichlet(np.ones(16)), (2, 2, 2, 2))
-        report = classical_ssa_check(view, (1, 2, 1))
-        assert report.holds
+        assert classical_ssa_check(view, (1, 2, 1)).holds
 
     @pytest.mark.parametrize(
         "dims, blocks",
@@ -476,10 +480,10 @@ class TestClassicalSsa:
     def test_matches_the_loop_oracle(self, dims, blocks):
         rng = np.random.default_rng(sum(dims) + 100 * blocks[0] + 10 * blocks[1])
         probs = _with_zeros(rng, math.prod(dims))
-        report = classical_ssa_check(view_of(probs, dims), blocks)
+        record = classical_ssa_check(view_of(probs, dims), blocks)
         expected = conditional_information_ref(ProbabilityVector(probs).probs, dims, blocks)
-        assert abs((report.lhs - report.rhs) - expected) <= 1e-12
-        assert report.holds
+        assert abs(record.value - expected) <= 1e-12
+        assert record.holds
 
     def test_wrong_block_count(self):
         view = view_of([1.0 / 8.0] * 8, (2, 2, 2))

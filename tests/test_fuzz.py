@@ -314,11 +314,17 @@ _BAD_STATES = {
     "trace": (np.diag([0.5, 0.3, 0.3]), TraceNotOne),
     "not_psd": (np.diag([1.2, -0.1, -0.1]), NotPSD),
     "nan": (np.full((3, 3), np.nan), NotHermitian),
+    # an infinite entry leaves a NaN (inf - inf) or infinite Hermitian gap
+    "inf": (np.diag([np.inf, 0.0, 0.0]), NotHermitian),
+    "minus_inf": (np.array([[1 / 3, -np.inf, 0.0], [-np.inf, 1 / 3, 0.0], [0.0, 0.0, 1 / 3]]),
+                  NotHermitian),
     # 2 x 2 rows, which stack_spectra checks on its closed-form path
     "qubit_not_hermitian": (np.diag([0.6, 0.4]) + np.triu(np.full((2, 2), 0.1), 1), NotHermitian),
     "qubit_trace": (np.diag([0.6, 0.5]), TraceNotOne),
     "qubit_not_psd": (np.array([[0.5, 0.6j], [-0.6j, 0.5]]), NotPSD),
     "qubit_nan": (np.full((2, 2), np.nan), NotHermitian),
+    "qubit_inf": (np.array([[np.inf, 0.0], [0.0, 0.0]]), NotHermitian),
+    "qubit_minus_inf": (np.array([[0.5, -np.inf], [0.0, 0.5]]), NotHermitian),
 }
 
 

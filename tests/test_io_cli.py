@@ -378,10 +378,15 @@ def _nan_diagonal_4x4():
     return {"dim": 4, "re": re.tolist(), "im": np.zeros((4, 4)).tolist()}
 
 
+class _JsonText(str):
+    """JSON text that json.dumps cannot write, such as 1e400: written to input.json as is."""
+
+
 _BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
-# (name, subcommand and extra flags, input (str or bytes is written as CSV, None passes no
-# --input or --dims, anything else is written as JSON), grid (bytes are written raw, anything
-# else as JSON) or None, dims, exit code, message fragment)
+_BEYOND_FLOAT = "a number beyond the float range is not a finite number"
+# (name, subcommand and extra flags, input (a _JsonText is written as input.json, any other
+# str or bytes as CSV, None passes no --input or --dims, anything else is written as JSON),
+# grid (bytes are written raw, anything else as JSON) or None, dims, exit code, message fragment)
 _MALFORMED = [
     ("all_nan_2x2", "analyze-dm", {"dim": 2, "re": [[math.nan] * 2] * 2}, None, "2,1", 2,
      "input.json: 'dim', 're' and 'im' must be numeric: NaN is not a number"),
@@ -402,6 +407,15 @@ _MALFORMED = [
      2, "p.csv:5: not a finite number: 'NaN'"),
     ("overflowing_csv_row", "analyze-prob", "0.5\n1e400\n", None, "2,1", 2,
      "p.csv:2: not a finite number: '1e400'"),
+    ("overflowing_re", "analyze-dm", _JsonText('{"dim": 2, "re": [[1e400, 0], [0, 0]]}'), None,
+     "2,1", 2, f"input.json: 'dim', 're' and 'im' must be numeric: {_BEYOND_FLOAT}"),
+    ("overflowing_negative_im", "analyze-dm",
+     _JsonText('{"re": [[0.5, 0], [0, 0.5]], "im": [[0, -1e400], [0, 0]]}'), None, "2,1", 2,
+     f"input.json: 'dim', 're' and 'im' must be numeric: {_BEYOND_FLOAT}"),
+    ("overflowing_json_probability", "analyze-prob", _JsonText("[1e400, 0.5]"), None, "2,1", 2,
+     f"input.json: probabilities must be numeric: {_BEYOND_FLOAT}"),
+    ("overflowing_phi", "tomogram-sweep", _BELL, b'[{"theta": 0.1, "phi": 1e400}]', "2,2", 2,
+     f"grid.json: entry 0 has a non-numeric angle: {_BEYOND_FLOAT}"),
     ("negative_infinity_json", "analyze-prob", [-math.inf, 1, 0, 0], None, "2,2", 2,
      "input.json: probabilities must be numeric: -Infinity is not a number"),
     ("infinity_angle", "tomogram-sweep", _BELL, [{"theta": 0.1, "phi": math.inf}], "2,2", 2,
@@ -501,7 +515,7 @@ def test_malformed_input_corpus(tmp_path, capsys, subcommand, state, grid, dims,
     argv = subcommand.split()
     if state is not None:
         if isinstance(state, (str, bytes)):
-            state_path = tmp_path / "p.csv"
+            state_path = tmp_path / ("input.json" if isinstance(state, _JsonText) else "p.csv")
             state_path.write_bytes(state if isinstance(state, bytes) else state.encode())
         else:
             state_path = tmp_path / "input.json"

@@ -6,12 +6,18 @@ import pytest
 
 from helpers import random_density
 from quditcorr import (
+    CheckRecord,
     DomainError,
+    Factorization,
+    JointView,
     NotPSD,
+    ProbabilityVector,
     QubitProbabilities,
     QutritElements,
     TsallisParam,
     UsageError,
+    check,
+    classical_ssa_check,
     probabilities_from_qubit,
     qubit_from_probabilities,
     qubit_inequality_xy,
@@ -21,9 +27,36 @@ from quditcorr import (
     qutrit_inequality_tsallis,
     validate,
 )
+from quditcorr.fuzz import family_table
 from quditcorr.sampling import bloch_ball_probabilities
+from quditcorr.tolerances import SUBADDITIVITY_ATOL
 
 LN2 = math.log(2.0)
+
+
+def test_library_inequalities_are_check_records():
+    """Each inequality returns check(name, value, SUBADDITIVITY_ATOL); a matrix-element one
+    is named as the fuzz family that samples it, whose margin on its state is the value."""
+    rng = np.random.default_rng(26)
+    qubit = qubit_from_probabilities(QubitProbabilities(0.9, 0.3, 0.6))
+    qutrit = validate(random_density(rng, 3))
+    tq = TsallisParam(2.5)
+    records = {
+        "qubit_zx": (qubit_inequality_zx(qubit), qubit),
+        "qubit_xy": (qubit_inequality_xy(qubit), qubit),
+        "qutrit_shannon": (qutrit_inequality_shannon(qutrit), qutrit),
+        "qutrit_tsallis_q=2.5": (qutrit_inequality_tsallis(qutrit, tq), qutrit),
+    }
+    families = {family.name: family for family in family_table([tq])}
+    for name, (record, state) in records.items():
+        assert type(record) is CheckRecord
+        assert record == check(name, record.value, SUBADDITIVITY_ATOL)
+        assert families[name].tolerance == SUBADDITIVITY_ATOL
+        assert families[name].margin(state.matrix[None]).tolist() == [record.value]
+    view = JointView(ProbabilityVector(rng.dirichlet(np.ones(8))), Factorization((2, 2, 2)))
+    record = classical_ssa_check(view, (1, 1, 1))
+    assert type(record) is CheckRecord
+    assert record == check("strong_subadditivity", record.value, SUBADDITIVITY_ATOL)
 
 
 class TestQubitReconstruction:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quditcorr._version import __version__
-from quditcorr.reporting import CheckRecord, Report, check, jsonable
+from quditcorr.reporting import CheckRecord, Report, check, holds, jsonable
 
 # allow_nan=False still draws +-inf, -0.0 and subnormals.
 finite_or_inf = st.floats(allow_nan=False)
@@ -208,3 +208,24 @@ def test_check_record_fields():
     record = check("ceiling", np.float64(2e-10), _TOL, -math.inf, 0.0)
     assert record == CheckRecord("ceiling", 2e-10, False, _TOL)
     assert type(record.holds) is bool
+
+
+_WINDOWS = [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.log(4)),
+            *((target, target) for target in (-0.5, 0.5, 2.0 * math.sqrt(2.0)))]
+
+
+@pytest.mark.parametrize("low, high", _WINDOWS)
+def test_holds_on_arrays_equals_check_elementwise(low, high):
+    edges = [low - _TOL, high + _TOL]
+    values = np.array([-_TOL, np.nextafter(-_TOL, -math.inf), math.inf, -math.inf, math.nan,
+                       *edges, np.nextafter(edges[0], -math.inf), np.nextafter(edges[1], math.inf),
+                       0.0, 1.0, -1.0]).reshape(3, 4)
+    verdicts = holds(values, _TOL, low, high)
+    assert verdicts.dtype == bool and verdicts.shape == values.shape
+    assert verdicts.tolist() == [[check("v", v, _TOL, low, high).holds for v in row]
+                                 for row in values.tolist()]
+    assert not verdicts.flat[4]  # NaN
+    assert verdicts.flat[5] and verdicts.flat[6]  # both edges are inclusive
+    if (low, high) == (0.0, math.inf):  # the defaults are a margin
+        assert verdicts.flat[:4].tolist() == [True, False, True, False]
+        assert np.array_equal(holds(values, _TOL), verdicts)

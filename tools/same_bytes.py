@@ -3,14 +3,14 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-61 commands and their inputs (drawn with numpy from a fixed seed) into one
+64 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
 with the first line that differs in each differing stream (old -> new), and
 each working-tree command that raised or exited other than 0 or 2 (a crash
-both trees share would otherwise count as identical), then "k/61 identical"
+both trees share would otherwise count as identical), then "k/64 identical"
 and how many commands exit 2, and exits 1 on any of those findings.
 """
 
@@ -91,7 +91,7 @@ def _write(path: Path, data) -> None:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 61 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 64 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -176,6 +176,16 @@ def write_corpus(tmp: Path) -> list:
                    None) for grid in ("bool_grid.json", "latin1_grid.json")]
     commands.append((["tomogram-sweep", "--input", str(tmp / "spin_16.json"), "--dims", "2,2,4"],
                      None))
+    # Numbers beyond the float range, which json.loads reads as infinities.
+    overflowing = {"overflow_re.json": '{"dim": 2, "re": [[1e400, 0.0], [0.0, 0.0]]}',
+                   "overflow_p.json": "[1e400, 0.5]",
+                   "overflow_grid.json": '[{"theta": 0.1, "phi": 1e400}]'}
+    for name, text in overflowing.items():
+        _write(tmp / name, text)
+    commands += [(["analyze-dm", "--input", str(tmp / "overflow_re.json"), "--dims", "2,1"], None),
+                 (["analyze-prob", "--input", str(tmp / "overflow_p.json"), "--dims", "2,1"], None),
+                 (["tomogram-sweep", "--input", bell, "--dims", "2,2",
+                   "--grid", str(tmp / "overflow_grid.json")], None)]
     # States the sweep certifies and refuses: anti-Hermitian part, trace 4/3, and eigenvalues
     # 0.55, 0.25, 0.25 and -0.05.
     swap = np.zeros((4, 4))
