@@ -37,8 +37,8 @@ from .quantum import (
     DensityMatrix,
     ReshapedState,
     _linear_entropy,
-    block_reductions,
     chsh_max,
+    reductions_and_spectra,
     separability_test,
     validate,
 )
@@ -196,10 +196,8 @@ _TSIRELSON = 2.0 * math.sqrt(2.0)  # the largest CHSH value a quantum state reac
 
 def _analyze_density_matrix(state: DensityMatrix, split: QuditSplit):
     reshaped = ReshapedState(state, split.factorization)
-    rho_left, rho_right = map(DensityMatrix, block_reductions(state.matrix, split.dim_left))
-    s_left, s_right, s_joint, mutual = _kernels.split_entropies(
-        rho_left.eigenvalues, rho_right.eigenvalues, state.eigenvalues
-    )
+    (rho_left, rho_right), spectra = reductions_and_spectra(state, split.dim_left)
+    s_left, s_right, s_joint, mutual = _kernels.split_entropies(*spectra, state.eigenvalues)
     verdict = separability_test(reshaped, split)
     results = {
         "units": "nats",
@@ -210,7 +208,7 @@ def _analyze_density_matrix(state: DensityMatrix, split: QuditSplit):
         "S_left": s_left,
         "S_right": s_right,
         "mutual_info": mutual,
-        "linear_entropy": _linear_entropy(rho_right.matrix),
+        "linear_entropy": _linear_entropy(rho_right),
         "separability": {"status": verdict.status, "witness_value": verdict.witness_value},
     }
     checks = [

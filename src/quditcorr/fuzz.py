@@ -91,8 +91,8 @@ def draw_quantum(rng, size):
 
 
 def quantum_margin(block):
-    """Mutual information at every split of every state, sample-major; the reduced
-    states are validated and their entropies taken in one stack per dimension."""
+    """Mutual information at every split of every state, sample-major; the entropies of
+    the reduced states, which are not checked again, are taken in one stack per dimension."""
     dims, classes = block
     d_left = np.cumprod(dims, axis=1)[:, :-1]
     has_split = np.arange(1, dims.shape[1]) < (dims > 1).sum(axis=1)[:, None]

@@ -5,10 +5,6 @@ row-major N x N arrays; the writer emits floats via repr, which round-trips
 exactly.  Probability vectors come from a JSON array (.json) or one value
 per line (anything else).  Direction grids are JSON arrays of
 {"theta": ..., "phi": ..., "psi": optional}.
-
-read_density_matrix parses a density-matrix file; load_density_matrix also
-validates the state (quantum.validate).  tomogram-sweep hands the parsed matrix
-to tomography.direction_sweep, which checks it without taking a spectrum.
 """
 
 import json
@@ -119,20 +115,17 @@ def read_density_matrix(path) -> np.ndarray:
 
 
 def load_density_matrix(path) -> DensityMatrix:
+    """read_density_matrix(path), validated as a state (quantum.validate)."""
     return validate(read_density_matrix(path))
 
 
-def density_matrix_payload(state: DensityMatrix) -> dict:
-    """JSON-ready form of a density matrix (exact float round-trip)."""
-    return {
-        "dim": state.dim,
-        "re": state.matrix.real.tolist(),
-        "im": state.matrix.imag.tolist(),
-    }
+def density_matrix_payload(matrix: np.ndarray) -> dict:
+    """JSON-ready form of an N x N matrix (exact float round-trip)."""
+    return {"dim": len(matrix), "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
 
 
 def write_density_matrix(state: DensityMatrix, path) -> None:
-    """Write json.dumps(density_matrix_payload(state), indent=2, sort_keys=True) and a
+    """Write json.dumps(density_matrix_payload(state.matrix), indent=2, sort_keys=True) and a
     newline, one matrix row at a time, each through the report renderer.  Rendering the
     payload as one string gives the same bytes, but its traced peak grows as N^2: about
     20 MB at N = 256, against 0.05 MB streamed."""

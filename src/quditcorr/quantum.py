@@ -3,10 +3,9 @@ traces over split blocks, entropies, mutual information, and entanglement
 detection for the induced bipartitions.  `block_reductions`, the twin of
 `classical.block_marginals`, is the one density-matrix reduction.
 
-`validate` builds a `DensityMatrix`, whose checks take the spectrum with one
-eigenvalue call; `certify_stack` makes the same checks on plain (..., N, N)
-arrays with one Cholesky factorization, for callers that never read a spectrum
-(tomogram-sweep and the fuzz draws).
+A state is checked once, where it enters: `validate` builds a `DensityMatrix` and
+takes its spectrum, and `certify_stack` checks plain (..., N, N) stacks with one Cholesky
+factorization.  Its reductions are derived values, and nothing checks them again.
 
 Throughout, the leading block of a split occupies the fastest-varying part
 of the flat index (the partition map's convention), so a product state
@@ -40,18 +39,22 @@ _PPT_DECISIVE = {(2, 2), (2, 3), (3, 2)}
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Check that each (..., N, N) matrix is Hermitian and of unit trace (both
-    checks also fail on NaN); return the Hermitian parts.  An infinite entry
-    leaves an infinite or NaN gap (inf - inf), so the Hermitian check refuses it."""
+    """Check that each (..., N, N) matrix is Hermitian and of unit trace (both checks also
+    fail on NaN); return the Hermitian parts.  An infinite entry leaves an infinite or NaN gap
+    (inf - inf), so the Hermitian check refuses it; a finite one too large to sum is not PSD."""
     adjoint = np.conj(np.swapaxes(m, -1, -2))
     with np.errstate(invalid="ignore", over="ignore"):
         herm_gap = float(np.abs(m - adjoint).max())
+        trace_gap = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if not herm_gap <= HERMITIAN_ATOL:
         raise NotHermitian(f"max |rho - rho^dagger| = {herm_gap:.3e} exceeds {HERMITIAN_ATOL:.0e}")
-    trace_gap = float(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0).max())
     if not trace_gap <= TRACE_ATOL:
         raise TraceNotOne(f"|Tr rho - 1| = {trace_gap:.3e} exceeds {TRACE_ATOL:.0e}")
-    return (m + adjoint) / 2.0
+    with np.errstate(over="raise"):
+        try:
+            return (m + adjoint) / 2.0
+        except FloatingPointError:  # past about 9e307; a unit-trace PSD matrix has |rho_ij| <= 1
+            raise NotPSD("an entry overflows rho + rho^dagger, so rho is not PSD") from None
 
 
 def _psd_floor(eigenvalues: np.ndarray) -> np.ndarray:
@@ -70,14 +73,13 @@ def validate_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stack_spectra(m: np.ndarray) -> np.ndarray:
-    """validate_stack(m)[1], but a 2 x 2 stack, after the same checks, takes its spectra
-    in closed form, (a + d)/2 -/+ hypot((a - d)/2, |b|), not one LAPACK call per matrix."""
+    """eigvalsh(m) for reductions of checked states, which are not checked again; a 2 x 2
+    stack takes them in closed form, (a + d)/2 -/+ hypot((a - d)/2, |b|), not per matrix."""
     if m.shape[-1] != 2:
-        return validate_stack(m)[1]
-    sym = _hermitian_part(m)
-    a, d = sym[..., 0, 0].real, sym[..., 1, 1].real
-    mean, radius = (a + d) / 2.0, np.hypot((a - d) / 2.0, np.abs(sym[..., 0, 1]))
-    return _psd_floor(np.stack([mean - radius, mean + radius], axis=-1))
+        return np.linalg.eigvalsh(m)
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    mean, radius = (a + d) / 2.0, np.hypot((a - d) / 2.0, np.abs(m[..., 0, 1]))
+    return np.stack([mean - radius, mean + radius], axis=-1)
 
 
 def certify_stack(m: np.ndarray) -> np.ndarray:
@@ -99,12 +101,10 @@ def certify_stack(m: np.ndarray) -> np.ndarray:
 
 
 class DensityMatrix:
-    """Validated Hermitian, unit-trace, positive-semidefinite matrix.
+    """Validated Hermitian, unit-trace, positive-semidefinite matrix, with its spectrum.
 
-    Construction performs the full validation and caches the spectrum.  The
-    stored matrix is the Hermitian part (m + m^dagger)/2 of the input, which
-    validation guarantees is within HERMITIAN_ATOL of it entrywise; this
-    keeps downstream reductions exactly Hermitian.
+    The stored matrix is the input's Hermitian part (m + m^dagger)/2, within HERMITIAN_ATOL of
+    it entrywise, so its reductions are exactly Hermitian and need no check of their own.
     """
 
     __slots__ = ("matrix", "dim", "eigenvalues")
@@ -157,6 +157,13 @@ def block_reductions(matrices: np.ndarray, d_left: int) -> tuple[np.ndarray, np.
     return np.einsum("...ijil->...jl", blocks), np.einsum("...ijkj->...ik", blocks)
 
 
+def reductions_and_spectra(state: DensityMatrix, d_left: int):
+    """Both block_reductions of a checked state at d_left and their eigvalsh spectra, unchecked:
+    each is its own Hermitian part bit for bit; its spectrum may dip below the PSD floor."""
+    reduced = block_reductions(state.matrix, d_left)
+    return reduced, tuple(np.linalg.eigvalsh(r) for r in reduced)
+
+
 def partial_trace_right(rs: ReshapedState, split: QuditSplit) -> DensityMatrix:
     """Reduced state of the leading block: rho(1)_{a,a'} = sum_b rho_{(a,b),(a',b)}."""
     split.check_belongs(rs.factorization, "reshaped state")
@@ -177,13 +184,14 @@ def von_neumann_entropy(state: DensityMatrix) -> float:
 def mutual_quantum_information(rs: ReshapedState, split: QuditSplit) -> float:
     """S(rho_left) + S(rho_right) - S(rho); nonnegative by subadditivity."""
     split.check_belongs(rs.factorization, "reshaped state")
-    states = (*map(DensityMatrix, block_reductions(rs.base.matrix, split.dim_left)), rs.base)
-    return _kernels.split_entropies(*(state.eigenvalues for state in states))[3]
+    _, spectra = reductions_and_spectra(rs.base, split.dim_left)
+    return _kernels.split_entropies(*spectra, rs.base.eigenvalues)[3]
 
 
 def linear_entropy(rs: ReshapedState, split: QuditSplit) -> float:
     """1 - Tr(rho_right^2); zero iff the trailing reduction is pure."""
-    return _linear_entropy(partial_trace_left(rs, split).matrix)
+    split.check_belongs(rs.factorization, "reshaped state")
+    return _linear_entropy(block_reductions(rs.base.matrix, split.dim_left)[1])
 
 
 def _linear_entropy(reduced: np.ndarray) -> float:

@@ -5,9 +5,9 @@ exactly one tunable surface.  Reports must quote the tolerance a value was
 judged against; handlers pull the same constants.
 """
 
-# Probability tables: entries of an ingested vector or a tomogram in
-# [-PROB_NEG_CLAMP, 0) are zeroed, anything lower is rejected; an ingested
-# vector's sum must match 1 within PROB_SUM_ATOL before it is renormalized.
+# Probability tables: entries of an ingested vector in [-PROB_NEG_CLAMP, 0) are zeroed
+# (a tomogram's in [-PSD_ATOL, 0), its state's eigenvalue floor), anything lower is rejected;
+# an ingested vector's sum must match 1 within PROB_SUM_ATOL before it is renormalized.
 PROB_NEG_CLAMP = 1e-12
 PROB_SUM_ATOL = 1e-12
 

@@ -26,7 +26,7 @@ from .errors import DomainError, UsageError
 from .partition import Factorization, numeric_array, real
 from .quantum import DensityMatrix, certify_stack
 from .reporting import holds
-from .tolerances import PROB_NEG_CLAMP, PSD_ATOL, SPIN_J_ATOL, SUBADDITIVITY_ATOL, TOMOGRAM_SUM_ATOL
+from .tolerances import PSD_ATOL, SPIN_J_ATOL, SUBADDITIVITY_ATOL, TOMOGRAM_SUM_ATOL
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def tomogram_values(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Every check below also fails on NaN.
     values = diagonals[..., ::-1].copy()  # storage is m descending; tables are y-ordered
     low = float(values.min())
-    if not low >= -PROB_NEG_CLAMP:
+    if not low >= -PSD_ATOL:  # the state's own eigenvalue floor bounds its tomogram values
         raise DomainError(f"tomogram value {low:.3e} below the clamp window")
     if not float(values.max()) <= 1.0 + PSD_ATOL:
         raise DomainError(f"tomogram value {values.max():.3e} exceeds 1")

@@ -167,7 +167,7 @@ def quantum_margin_per_split(block) -> np.ndarray:
     reduced stacks through `stack_spectra`, as quantum_margin does per reduced
     dimension, and its states' joint entropies.
 
-    It checks the batching (one validated stack per reduced dimension, slots
+    It checks the batching (one spectra stack per reduced dimension, slots
     scattered back per sample and split); `brute_force_reduction` checks the
     reduction itself, against `block_reductions`."""
     dims, classes = block

@@ -60,7 +60,7 @@ from quditcorr.fuzz import (
     tomographic_margin,
 )
 from quditcorr.qubit_qutrit import bloch_probabilities
-from quditcorr.quantum import certify_stack, stack_spectra, validate_stack
+from quditcorr.quantum import block_reductions, certify_stack, stack_spectra, validate_stack
 from quditcorr.sampling import _factorization_table, _ginibre, bloch_ball_stack
 from quditcorr.sampling import random_factorizations
 from quditcorr.tolerances import PSD_ATOL
@@ -216,6 +216,16 @@ def test_quantum_margin_matches_the_per_split_reference_bit_for_bit():
         assert np.array_equal(quantum_margin(block), quantum_margin_per_split(block))
 
 
+def test_reduced_stacks_are_their_own_hermitian_part():
+    """quantum_margin checks no reduced stack: validate_stack would return each one bit for bit."""
+    for block in _quantum_blocks():
+        for _, states, _ in block[1]:
+            n = states.shape[-1]
+            for d_left in (d for d in range(2, n) if n % d == 0):
+                for reduced in block_reductions(states, d_left):
+                    assert validate_stack(reduced)[0].tobytes() == reduced.tobytes()
+
+
 def test_quantum_margin_validates_one_stack_per_reduced_dimension(monkeypatch):
     calls = []
 
@@ -318,13 +328,16 @@ _BAD_STATES = {
     "inf": (np.diag([np.inf, 0.0, 0.0]), NotHermitian),
     "minus_inf": (np.array([[1 / 3, -np.inf, 0.0], [-np.inf, 1 / 3, 0.0], [0.0, 0.0, 1 / 3]]),
                   NotHermitian),
-    # 2 x 2 rows, which stack_spectra checks on its closed-form path
+    # a finite entry past about 9e307 overflows m + m^dagger
+    "overflow": (np.array([[1 / 3, 1e308, 0.0], [1e308, 1 / 3, 0.0], [0.0, 0.0, 1 / 3]]), NotPSD),
     "qubit_not_hermitian": (np.diag([0.6, 0.4]) + np.triu(np.full((2, 2), 0.1), 1), NotHermitian),
     "qubit_trace": (np.diag([0.6, 0.5]), TraceNotOne),
     "qubit_not_psd": (np.array([[0.5, 0.6j], [-0.6j, 0.5]]), NotPSD),
     "qubit_nan": (np.full((2, 2), np.nan), NotHermitian),
     "qubit_inf": (np.array([[np.inf, 0.0], [0.0, 0.0]]), NotHermitian),
     "qubit_minus_inf": (np.array([[0.5, -np.inf], [0.0, 0.5]]), NotHermitian),
+    "qubit_overflow": (np.array([[0.5, 1e308], [1e308, 0.5]]), NotPSD),
+    "qubit_trace_overflow": (np.diag([1e308, 1e308]), TraceNotOne),
 }
 
 
@@ -335,7 +348,7 @@ def test_bad_state_in_stack_raises_like_density_matrix(case):
     with pytest.raises(error):
         DensityMatrix(bad)
     stack = _with_row(_STATES if dim == 3 else _QUBIT_STATES, bad)
-    for check in (validate_stack, certify_stack, stack_spectra):
+    for check in (validate_stack, certify_stack):
         _raises_like(lambda: DensityMatrix(bad), lambda: check(stack))
     sweep = (bad, SpinRep((dim - 1) / 2), Factorization((dim, 1)), [Direction(0.3, 0.4)])
     _raises_like(lambda: DensityMatrix(bad), lambda: direction_sweep(*sweep))

@@ -98,7 +98,8 @@ class TestIo:
         path = tmp_path / "rho.json"
         for state in states:
             write_density_matrix(state, path)
-            expected = json.dumps(density_matrix_payload(state), indent=2, sort_keys=True) + "\n"
+            payload = density_matrix_payload(state.matrix)
+            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
             assert path.read_text() == expected
 
     def test_density_matrix_imaginary_optional(self, tmp_path):
@@ -384,6 +385,8 @@ class _JsonText(str):
 
 _BELL = {"dim": 4, "re": (np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2).tolist()}
 _BEYOND_FLOAT = "a number beyond the float range is not a finite number"
+# Finite, Hermitian and of unit trace, but m + m^dagger overflows.
+_NEAR_FLOAT_MAX = {"dim": 2, "re": [[0.5, 1e308], [1e308, 0.5]]}
 # (name, subcommand and extra flags, input (a _JsonText is written as input.json, any other
 # str or bytes as CSV, None passes no --input or --dims, anything else is written as JSON),
 # grid (bytes are written raw, anything else as JSON) or None, dims, exit code, message fragment)
@@ -412,6 +415,10 @@ _MALFORMED = [
     ("overflowing_negative_im", "analyze-dm",
      _JsonText('{"re": [[0.5, 0], [0, 0.5]], "im": [[0, -1e400], [0, 0]]}'), None, "2,1", 2,
      f"input.json: 'dim', 're' and 'im' must be numeric: {_BEYOND_FLOAT}"),
+    ("overflowing_hermitian_part_analyze", "analyze-dm", _NEAR_FLOAT_MAX, None, "2,1", 2,
+     "an entry overflows rho + rho^dagger, so rho is not PSD"),
+    ("overflowing_hermitian_part_sweep", "tomogram-sweep", _NEAR_FLOAT_MAX, None, "2,1", 2,
+     "an entry overflows rho + rho^dagger, so rho is not PSD"),
     ("overflowing_json_probability", "analyze-prob", _JsonText("[1e400, 0.5]"), None, "2,1", 2,
      f"input.json: probabilities must be numeric: {_BEYOND_FLOAT}"),
     ("overflowing_phi", "tomogram-sweep", _BELL, b'[{"theta": 0.1, "phi": 1e400}]', "2,2", 2,

@@ -30,7 +30,8 @@ from quditcorr import cli, quantum
 from quditcorr._kernels import split_entropies
 from quditcorr.classical import block_marginals
 from quditcorr.io import write_density_matrix
-from quditcorr.quantum import block_reductions
+from quditcorr.quantum import block_reductions, reductions_and_spectra, validate_stack
+from quditcorr.sampling import ginibre_density
 from quditcorr.tolerances import HERMITIAN_ATOL
 
 LN2 = math.log(2.0)
@@ -295,6 +296,46 @@ class TestOneReductionPerSplit:
             matrix = trace(rs, split).matrix
             assert np.array_equal(results[key]["re"], matrix.real)
             assert np.array_equal(results[key]["im"], matrix.imag)
+
+
+class TestReductionsAreNotCheckedAgain:
+    """A reduction of a checked state is derived, not new input, so nothing checks it again."""
+
+    @pytest.mark.parametrize("dims", _REDUCTION_LAYOUTS)
+    def test_a_reduction_is_its_own_hermitian_part(self, dims):
+        # validate_stack would return each reduction and its spectrum bit for bit, at
+        # ranks 1, 3 and full; fuzz's stacked reductions are pinned in test_fuzz.
+        f = Factorization(dims)
+        for rank in sorted({1, min(3, f.total), f.total}):
+            state = ginibre_density(np.random.default_rng([f.total, rank]), f.total, rank)
+            for s in range(1, f.num_axes):
+                reduced, spectra = reductions_and_spectra(state, QuditSplit(f, s).dim_left)
+                for matrix, spectrum in zip(reduced, spectra):
+                    sym, eigenvalues = validate_stack(matrix)
+                    assert sym.tobytes() == matrix.tobytes()
+                    assert eigenvalues.tobytes() == spectrum.tobytes()
+
+    @pytest.mark.parametrize("dims, mutual, linear", [
+        ((2, 3), 0.0, 1.0 - 0.3**2 - 0.3**2 - 0.4**2),
+        ((3, 2), -0.3 * math.log(0.3) - 0.7 * math.log(0.7), 1.0 - 0.3**2 - 0.7**2),
+    ])
+    def test_either_block_order_of_a_state_the_check_accepts(self, tmp_path, capsys, dims,
+                                                             mutual, linear):
+        # Three eigenvalues of -4e-11 pass the state's floor, -PSD_ATOL = -1e-10, but at
+        # --dims 2,3 they sum into one leading reduced level of -1.2e-10.
+        diagonal = np.array([-4e-11, 0.3, -4e-11, 0.3, -4e-11, 0.0])
+        diagonal[5] = 1.0 - diagonal.sum()
+        state = validate(np.diag(diagonal))
+        f = Factorization(dims)
+        rs, split = ReshapedState(state, f), QuditSplit(f, 1)
+        assert abs(mutual_quantum_information(rs, split) - mutual) <= 1e-9
+        assert abs(linear_entropy(rs, split) - linear) <= 1e-9
+        path = tmp_path / "rho.json"
+        write_density_matrix(state, path)
+        assert cli.main(["analyze-dm", "--input", str(path), "--dims", "%d,%d" % dims]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["mutual_info"] == mutual_quantum_information(rs, split)
+        assert results["linear_entropy"] == linear_entropy(rs, split)
 
 
 class TestLinearEntropy:

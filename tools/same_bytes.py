@@ -3,14 +3,14 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-64 commands and their inputs (drawn with numpy from a fixed seed) into one
+69 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
 with the first line that differs in each differing stream (old -> new), and
 each working-tree command that raised or exited other than 0 or 2 (a crash
-both trees share would otherwise count as identical), then "k/64 identical"
+both trees share would otherwise count as identical), then "k/69 identical"
 and how many commands exit 2, and exits 1 on any of those findings.
 """
 
@@ -91,7 +91,7 @@ def _write(path: Path, data) -> None:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 64 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 69 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -215,6 +215,24 @@ def write_corpus(tmp: Path) -> list:
     commands += [(["analyze-prob", "--input", str(vector), "--dims", "1,6", "--q", "2"], None),
                  (["analyze-prob", "--input", str(vector), "--dims", "6,1", "--conditionals"],
                   None)]
+
+    # States the state check accepts that a later check of derived values once refused: three
+    # eigenvalues of -4e-11 sum into one reduced level of -1.2e-10 at --dims 2,3, and a
+    # qubit's tomogram reaches its eigenvalue of -5e-11. Then a finite, Hermitian, unit-trace
+    # file whose m + m^dagger overflows, which both commands refuse as not PSD.
+    edge = np.array([-4e-11, 0.3, -4e-11, 0.3, -4e-11, 0.0])
+    edge[5] = 1.0 - edge.sum()
+    states = {"edge_6.json": {"dim": 6, "re": np.diag(edge).tolist()},
+              "floor_2.json": {"dim": 2, "re": np.diag([1.0 + 5e-11, -5e-11]).tolist()},
+              "near_float_max.json": {"dim": 2, "re": [[0.5, 1e308], [1e308, 0.5]]}}
+    for name, payload in states.items():
+        _write(tmp / name, json.dumps(payload))
+    commands += [(["analyze-dm", "--input", str(tmp / "edge_6.json"), "--dims", dims], None)
+                 for dims in ("2,3", "3,2")]
+    commands += [([command, "--input", str(tmp / name), "--dims", "2,1"], None)
+                 for command, name in (("tomogram-sweep", "floor_2.json"),
+                                       ("analyze-dm", "near_float_max.json"),
+                                       ("tomogram-sweep", "near_float_max.json"))]
     return commands
 
 
