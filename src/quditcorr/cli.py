@@ -211,9 +211,12 @@ def _analyze_density_matrix(state: DensityMatrix, split: QuditSplit):
         "linear_entropy": _linear_entropy(rho_right),
         "separability": {"status": verdict.status, "witness_value": verdict.witness_value},
     }
+    # -slack - slack^2 <= S <= (1 + slack) ln N, slack the state's negative eigenvalue mass.
+    slack = -float(state.eigenvalues[state.eigenvalues < 0.0].sum())
     checks = [
         check("quantum_subadditivity", mutual, QUANTUM_MUTUAL_ATOL),
-        check("entropy_within_bounds", s_joint, ENTROPY_BOUND_ATOL, high=math.log(state.dim)),
+        check("entropy_within_bounds", s_joint, ENTROPY_BOUND_ATOL, -slack,
+              (1.0 + slack) * math.log(state.dim)),
     ]
     if split.dim_left == 2 and split.dim_right == 2:
         chsh = results["chsh_max"] = chsh_max(reshaped, split)

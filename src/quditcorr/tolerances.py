@@ -5,9 +5,9 @@ exactly one tunable surface.  Reports must quote the tolerance a value was
 judged against; handlers pull the same constants.
 """
 
-# Probability tables: entries of an ingested vector in [-PROB_NEG_CLAMP, 0) are zeroed
-# (a tomogram's in [-PSD_ATOL, 0), its state's eigenvalue floor), anything lower is rejected;
-# an ingested vector's sum must match 1 within PROB_SUM_ATOL before it is renormalized.
+# Probability tables: entries of an ingested vector in [-PROB_NEG_CLAMP, 0) are zeroed (a
+# tomogram zeroes all its negative values), anything lower is rejected; an ingested
+# vector's sum must match 1 within PROB_SUM_ATOL before it is renormalized.
 PROB_NEG_CLAMP = 1e-12
 PROB_SUM_ATOL = 1e-12
 
@@ -26,7 +26,7 @@ DEMO_CLOSED_FORM_ATOL = 1e-10    # demo mutual information and PPT witness again
 DEMO_LINEAR_ENTROPY_ATOL = 1e-12  # demo linear entropy against 1/2
 
 # Tomograms.
-TOMOGRAM_SUM_ATOL = 1e-10        # normalization check before renormalizing
+TOMOGRAM_SUM_ATOL = 1e-10        # tomogram-sweep's bound on a table's raw |sum - 1|
 SPIN_J_ATOL = 1e-9               # how far 2j may sit from an integer
 
 # Qubit and qutrit probability parametrizations.

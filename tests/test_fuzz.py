@@ -64,7 +64,7 @@ from quditcorr.quantum import block_reductions, certify_stack, stack_spectra, va
 from quditcorr.sampling import _factorization_table, _ginibre, bloch_ball_stack
 from quditcorr.sampling import random_factorizations
 from quditcorr.tolerances import PSD_ATOL
-from quditcorr.tomography import check_angles, tomogram_diagonals, tomogram_values
+from quditcorr.tomography import check_angles
 
 QS = [TsallisParam(q) for q in (0.5, 1.5, 2.0, 3.0)]
 COUNT = BLOCK + 44  # one full block and one partial block
@@ -507,15 +507,3 @@ def test_bad_direction_row_raises_like_direction(angle, bad):
     angles[angle][2] = bad
     single = {name: float(values[2]) for name, values in angles.items()}
     _raises_like(lambda: Direction(**single), lambda: check_angles(**angles))
-
-
-# A negative tomogram value and NaN, raised as the kernel raises them on the bad row alone.
-# `tomogram` never sees such a matrix: building its DensityMatrix refuses it.
-@pytest.mark.parametrize("bad", [np.diag([1.2, -0.2, 0.0, 0.0]), np.full((4, 4), np.nan)])
-def test_bad_tomogram_row_raises_like_single_tomogram(bad):
-    states = _with_row([random_density(np.random.default_rng(k), 4) for k in range(5)], bad)
-    theta, phi = np.linspace(0.0, 1.0, 5), np.linspace(0.5, 2.0, 5)
-    _raises_like(
-        lambda: tomogram_values(tomogram_diagonals(spin_rep(1.5), theta[2], phi[2], bad)),
-        lambda: tomographic_margin((states, theta, phi)),
-    )

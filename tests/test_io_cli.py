@@ -11,7 +11,10 @@ from quditcorr import (
     Factorization,
     TsallisParam,
     UsageError,
+    direction_sweep,
     mutual_tomographic_information,
+    qutrit_inequality_shannon,
+    qutrit_inequality_tsallis,
     spin_rep,
     tomogram,
     tomographic_tsallis_report,
@@ -709,6 +712,71 @@ def test_only_q_above_one_is_gated(tmp_path, capsys, command):
         reported = [name.removeprefix("qutrit_tsallis_q=")
                     for name in report["results"]["min_margins"] if "tsallis" in name]
     assert sorted(reported) == labels
+
+
+# States the state check accepts, with eigenvalues in its [-PSD_ATOL, 0) slack: diagonal
+# states with one level at 1 + (N - 1) s and N - 1 at -s, and a qutrit whose |rho13|
+# passes 1/2.  No table derived from them is judged again.
+_SLACK_DIAGONALS = [(4, 5e-11, "2,2"), (16, 0.99e-10, "4,4"), (64, 0.99e-10, "8,8")]
+
+
+def _slack_diagonal(tmp_path, n, s):
+    levels = np.full(n, -s)
+    levels[0] = 1.0 + (n - 1) * s
+    state = validate(np.diag(levels))
+    path = tmp_path / f"slack_{n}.json"
+    write_density_matrix(state, path)
+    return state, str(path)
+
+
+class TestStatesTheCheckAccepts:
+    @pytest.mark.parametrize("n, s, dims", _SLACK_DIAGONALS)
+    def test_tomograms_are_zeroed_and_renormalized(self, tmp_path, capsys, n, s, dims):
+        state, path = _slack_diagonal(tmp_path, n, s)
+        rep, f = spin_rep((n - 1) / 2.0), Factorization(tuple(map(int, dims.split(","))))
+        grid = [Direction(theta, phi) for theta in (0.0, 1.0, math.pi) for phi in (0.0, 2.0)]
+        sweep = direction_sweep(state.matrix, rep, f, grid)
+        tables = [tomogram(state, rep, direction) for direction in grid]
+        for values, error in [(sweep.values, sweep.normalization_error),
+                              *((t.values, t.normalization_error) for t in tables)]:
+            assert values.min() >= 0.0
+            assert np.abs(values.sum(axis=-1) - 1.0).max() <= 1e-14
+            assert np.max(error) <= 1e-14  # the state's own trace error, not its slack
+        # At theta = 0 the table is the diagonal, m ascending: the one level, exactly.
+        assert sweep.values[0].tolist() == [0.0] * (n - 1) + [1.0]
+        code, out, err = run_cli(capsys, "tomogram-sweep", "--input", path, "--dims", dims)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["max_normalization_error"] <= 1e-14
+
+    @pytest.mark.parametrize("n, s, dims", _SLACK_DIAGONALS)
+    def test_entropy_bound_allows_the_slack(self, tmp_path, capsys, n, s, dims):
+        # S = -(1 + sigma) ln(1 + sigma) with sigma = (N - 1) s, below 0 by more than
+        # ENTROPY_BOUND_ATOL at N = 4 and 16, but not below -sigma - sigma^2.
+        _, path = _slack_diagonal(tmp_path, n, s)
+        _, out, _ = run_cli(capsys, "analyze-dm", "--input", path, "--dims", dims)
+        entropy = {c["name"]: c for c in json.loads(out)["checks"]}["entropy_within_bounds"]
+        assert -(n - 1) * s * 1.001 <= entropy["value"] < 0.0
+        assert entropy["holds"] is True
+
+    @pytest.mark.parametrize("n, s, dims", [*_SLACK_DIAGONALS[:2], pytest.param(
+        *_SLACK_DIAGONALS[2], marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 17: I = -4.85e-9 is below -QUANTUM_MUTUAL_ATOL, and no multiple "
+            "of the slack bounds the mutual information")))])
+    def test_analyze_dm_exits_0(self, tmp_path, capsys, n, s, dims):
+        _, path = _slack_diagonal(tmp_path, n, s)
+        code, out, err = run_cli(capsys, "analyze-dm", "--input", path, "--dims", dims)
+        assert (code, err) == (0, ""), out
+
+    def test_qutrit_coherence_past_one_half_is_a_support_hole(self):
+        # Eigenvalues -9.9e-11, -9.1e-11 and 1 pass the check, yet Re rho13 = 1/2 + 1.4e-10
+        # leaves the reference weight 1/2 - Re rho13 below 0, where rho33 > 0 puts weight.
+        eps = 0.99e-10
+        a, c = (1.0 + eps) / 2.0, 0.5 + 1.4e-10
+        state = validate(np.array([[a, 0.0, c], [0.0, -eps, 0.0], [c, 0.0, a]]))
+        assert state.matrix[0, 2].real > 0.5
+        for record in (qutrit_inequality_shannon(state),
+                       qutrit_inequality_tsallis(state, TsallisParam(2.0))):
+            assert (record.value, record.holds) == (math.inf, True)
 
 
 class TestDemoAndFuzz:

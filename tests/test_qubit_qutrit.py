@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -176,16 +177,17 @@ class TestQutritInequalities:
         value = qutrit_inequality_tsallis(validate(np.diag([0.5, 0.5, 0.0])), TsallisParam(2.0)).value
         assert abs(value - 1.0) < 1e-12
 
-    def test_out_of_range_coherence_raises_domain_error(self):
-        # |Re rho13| > 1/2 cannot come from a valid state; a typed error, not
-        # an assert, must guard it.
-        m = np.diag([0.5, 0.0, 0.5]).astype(complex)
-        m[0, 2] = m[2, 0] = 0.7
-        bogus = SimpleNamespace(dim=3, matrix=m)
-        with pytest.raises(DomainError, match="rho13"):
-            qutrit_inequality_shannon(bogus)
-        with pytest.raises(DomainError, match="rho13"):
-            qutrit_inequality_tsallis(bogus, TsallisParam(2.0))
+    def test_a_non_density_matrix_raises_usage_error(self):
+        # Each inequality reads the matrix elements of a checked state, so anything else,
+        # even a valid matrix of the right size, is refused by type, not judged by value.
+        tsallis = partial(qutrit_inequality_tsallis, tq=TsallisParam(2.0))
+        for dim, inequalities in ((2, (qubit_inequality_zx, qubit_inequality_xy)),
+                                  (3, (qutrit_inequality_shannon, tsallis))):
+            m = np.eye(dim, dtype=complex) / dim
+            for inequality in inequalities:
+                for bogus in (m, SimpleNamespace(dim=dim, matrix=m)):
+                    with pytest.raises(UsageError, match="expected a DensityMatrix"):
+                        inequality(bogus)
 
     def test_tsallis_requires_q_above_one(self):
         with pytest.raises(UsageError, match="q > 1"):

@@ -3,14 +3,14 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-69 commands and their inputs (drawn with numpy from a fixed seed) into one
+75 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
 with the first line that differs in each differing stream (old -> new), and
 each working-tree command that raised or exited other than 0 or 2 (a crash
-both trees share would otherwise count as identical), then "k/69 identical"
+both trees share would otherwise count as identical), then "k/75 identical"
 and how many commands exit 2, and exits 1 on any of those findings.
 """
 
@@ -91,7 +91,7 @@ def _write(path: Path, data) -> None:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 69 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 75 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -233,6 +233,14 @@ def write_corpus(tmp: Path) -> list:
                  for command, name in (("tomogram-sweep", "floor_2.json"),
                                        ("analyze-dm", "near_float_max.json"),
                                        ("tomogram-sweep", "near_float_max.json"))]
+    # Diagonal states the check accepts with one level at 1 + (N - 1) s and N - 1 at -s: their
+    # tomograms reach past 1 and their entropies below 0 by the slack, which no check judges.
+    for n, slack, dims in ((4, 5e-11, "2,2"), (16, 0.99e-10, "4,4"), (64, 0.99e-10, "8,8")):
+        levels = np.full(n, -slack)
+        levels[0] = 1.0 + (n - 1) * slack
+        _write(tmp / f"slack_{n}.json", json.dumps({"dim": n, "re": np.diag(levels).tolist()}))
+        commands += [([command, "--input", str(tmp / f"slack_{n}.json"), "--dims", dims], None)
+                     for command in ("analyze-dm", "tomogram-sweep")]
     return commands
 
 
