@@ -211,12 +211,15 @@ def _analyze_density_matrix(state: DensityMatrix, split: QuditSplit):
         "linear_entropy": _linear_entropy(rho_right),
         "separability": {"status": verdict.status, "witness_value": verdict.witness_value},
     }
-    # -slack - slack^2 <= S <= (1 + slack) ln N, slack the state's negative eigenvalue mass.
-    slack = -float(state.eigenvalues[state.eigenvalues < 0.0].sum())
+    # sigma, the state's negative eigenvalue mass, moves the checks' ends: the masked entropies
+    # keep -sigma - sigma^2 <= S <= (1 + sigma) ln N, and a reduction to d levels loses at most
+    # sigma ln(d / sigma) of entropy to it, so I >= -sigma (1 + sigma + ln(N / sigma^2)).
+    sigma = -float(state.eigenvalues[state.eigenvalues < 0.0].sum())
+    floor = sigma * (1.0 + sigma + math.log(state.dim) - 2.0 * math.log(sigma)) if sigma else 0.0
     checks = [
-        check("quantum_subadditivity", mutual, QUANTUM_MUTUAL_ATOL),
-        check("entropy_within_bounds", s_joint, ENTROPY_BOUND_ATOL, -slack,
-              (1.0 + slack) * math.log(state.dim)),
+        check("quantum_subadditivity", mutual, QUANTUM_MUTUAL_ATOL, -floor),
+        check("entropy_within_bounds", s_joint, ENTROPY_BOUND_ATOL, -sigma,
+              (1.0 + sigma) * math.log(state.dim)),
     ]
     if split.dim_left == 2 and split.dim_right == 2:
         chsh = results["chsh_max"] = chsh_max(reshaped, split)

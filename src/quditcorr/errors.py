@@ -30,4 +30,4 @@ class TraceNotOne(ValidationError):
 
 
 class NotPSD(ValidationError):
-    """The spectrum dips below zero beyond tolerance."""
+    """The negative eigenvalues sum below -PSD_ATOL."""

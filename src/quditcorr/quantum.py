@@ -58,10 +58,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def _psd_floor(eigenvalues: np.ndarray) -> np.ndarray:
-    """Refuse spectra with an eigenvalue below -PSD_ATOL (or NaN); return them."""
-    low = float(eigenvalues.min())
-    if not low >= -PSD_ATOL:
-        raise NotPSD(f"min eigenvalue = {low:.3e} below -{PSD_ATOL:.0e}")
+    """Refuse (..., N) spectra with a row whose negative mass -sum_{lambda < 0} lambda =
+    (||rho||_1 - Tr rho)/2 exceeds PSD_ATOL (or is NaN); return them.  The trace norm contracts
+    under trace-preserving positive maps (Nielsen & Chuang, Thm 9.2), so no reduction, block
+    marginal or tomogram row (a pinching after a unitary) of an accepted state carries more."""
+    mass = float(np.maximum(-eigenvalues, 0.0).sum(axis=-1).max())
+    if not mass <= PSD_ATOL:
+        raise NotPSD(f"negative eigenvalue mass = {mass:.3e} exceeds {PSD_ATOL:.0e}")
     return eigenvalues
 
 
@@ -85,12 +88,12 @@ def stack_spectra(m: np.ndarray) -> np.ndarray:
 def certify_stack(m: np.ndarray) -> np.ndarray:
     """validate_stack(m)[0], for callers that drop the spectra.
 
-    One stacked Cholesky factorization certifies that every row is positive
-    definite.  It is backward stable, so a certified unit-trace row has no
-    eigenvalue below about -N * 1e-16, far above -PSD_ATOL, and the eigenvalue
-    check would accept it too.  Only when the factorization fails (a singular
-    row, one in the [-PSD_ATOL, 0] slack, or a bad one) does that check run,
-    so every refusal and its message are validate_stack's.
+    One stacked Cholesky factorization certifies that every row is positive definite.  It is
+    backward stable: a certified row is LL^dagger - E, |E| <= (N + 1) u |L||L^dagger| (Higham,
+    Thm 10.3), so its negative mass is at most ||E||_1 <= sqrt(N) (N + 1) u Tr rho, below
+    PSD_ATOL for N up to about 9,000, where the eigenvalue check accepts it too.  Only when the
+    factorization fails (a singular row, one with negative mass, or a bad one) does that check
+    run, so every refusal and its message are validate_stack's.
     """
     sym = _hermitian_part(m)
     try:
@@ -159,7 +162,7 @@ def block_reductions(matrices: np.ndarray, d_left: int) -> tuple[np.ndarray, np.
 
 def reductions_and_spectra(state: DensityMatrix, d_left: int):
     """Both block_reductions of a checked state at d_left and their eigvalsh spectra, unchecked:
-    each is its own Hermitian part bit for bit; its spectrum may dip below the PSD floor."""
+    each is its own Hermitian part bit for bit, with no more negative mass than the state."""
     reduced = block_reductions(state.matrix, d_left)
     return reduced, tuple(np.linalg.eigvalsh(r) for r in reduced)
 
@@ -177,7 +180,7 @@ def partial_trace_left(rs: ReshapedState, split: QuditSplit) -> DensityMatrix:
 
 
 def von_neumann_entropy(state: DensityMatrix) -> float:
-    """-Tr rho ln rho in nats; the kernel's mask drops the [-PSD_ATOL, 0) slack."""
+    """-Tr rho ln rho in nats; the kernel's mask drops the negative mass (at most PSD_ATOL)."""
     return _kernels.shannon(state.eigenvalues)
 
 
@@ -220,7 +223,8 @@ class SeparabilityVerdict:
 
 
 def separability_test(rs: ReshapedState, split: QuditSplit) -> SeparabilityVerdict:
-    """Partial-transpose criterion across the split."""
+    """Partial-transpose criterion across the split.  A state P - Q with P PPT (diagonal, say),
+    Q PSD and Tr Q <= PSD_ATOL has witness >= -||Q^Gamma||_op >= -Tr Q: never "entangled"."""
     eigenvalues = np.linalg.eigvalsh(partial_transpose_right(rs, split))
     witness = float(eigenvalues.min())
     if witness < -PSD_ATOL:

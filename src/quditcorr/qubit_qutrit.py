@@ -21,18 +21,22 @@ from .errors import DomainError, NotPSD, UsageError
 from .partition import real
 from .quantum import DensityMatrix
 from .reporting import CheckRecord, check
-from .tolerances import BLOCH_ATOL, PSD_ATOL, QUTRIT_DIAG_SLOP, SUBADDITIVITY_ATOL
+from .tolerances import PSD_ATOL, QUTRIT_DIAG_SLOP, SUBADDITIVITY_ATOL, TRACE_ATOL
 
 
 def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.stack([first, second], axis=-1)
 
 
-def _unit_interval(values, names) -> np.ndarray:
+# A checked qubit [[a, b], [b*, d]] has a + d = 1 + t, |t| <= TRACE_ATOL, and eigenvalues
+# (1 + t)/2 -/+ R, R = |(2b, a - d)|/2, whose negative mass max(0, R - (1 + t)/2) is at most
+# PSD_ATOL: each p lies within PSD_ATOL + TRACE_ATOL of [0, 1], and as r_z = 2a - 1 = a - d + t,
+# the Bloch radius is at most 2R + |t| <= 1 + 2 (PSD_ATOL + TRACE_ATOL).
+def _unit_interval(values, names, slack=PSD_ATOL + TRACE_ATOL) -> np.ndarray:
     """Clamp (..., k) probabilities named `names` into [0, 1]; reject any
-    (NaN too) further than PSD_ATOL outside it."""
+    (NaN too) further than `slack` outside it."""
     values = np.array(values, dtype=float)
-    bad = ~((-PSD_ATOL <= values) & (values <= 1.0 + PSD_ATOL))
+    bad = ~((-slack <= values) & (values <= 1.0 + slack))
     if bad.any():
         where = tuple(np.argwhere(bad)[0])
         raise DomainError(f"{names[where[-1]]} = {float(values[where])} outside [0, 1]")
@@ -43,9 +47,9 @@ def bloch_probabilities(values) -> np.ndarray:
     """Check (..., 3) spin-projection probabilities (p1, p2, p3) as
     QubitProbabilities does; return them clamped into [0, 1]."""
     p = _unit_interval(values, ("p1", "p2", "p3"))
-    worst = float(((2.0 * p - 1.0) ** 2).sum(axis=-1).max())
-    if not worst <= 1.0 + BLOCH_ATOL:
-        raise NotPSD(f"squared Bloch radius {worst:.12f} exceeds 1")
+    worst = float(((2.0 * p - 1.0) ** 2).sum(axis=-1).max()) ** 0.5
+    if not worst <= 1.0 + 2.0 * (PSD_ATOL + TRACE_ATOL):
+        raise NotPSD(f"Bloch radius {worst:.12f} exceeds 1")
     return p
 
 
@@ -80,11 +84,7 @@ def probabilities_from_qubit(state: DensityMatrix) -> QubitProbabilities:
     """Invert `qubit_from_probabilities`; round-trips exactly."""
     _require_dim(state, 2)
     off = complex(state.matrix[0, 1])
-    return QubitProbabilities(
-        p1=off.real + 0.5,
-        p2=-off.imag + 0.5,
-        p3=float(state.matrix[0, 0].real),
-    )
+    return QubitProbabilities(off.real + 0.5, -off.imag + 0.5, float(state.matrix[0, 0].real))
 
 
 def _require_dim(state: DensityMatrix, dim: int) -> None:
@@ -126,7 +126,7 @@ def qubit_inequality_xy(state: DensityMatrix) -> CheckRecord:
 
 def qutrit_distributions(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rho11 + rho22, rho33) and (1/2 + Re rho13, 1/2 - Re rho13) of (..., 3, 3) checked
-    qutrit matrices; a reference weight <= 0 (the PSD slack lets |rho13| pass 1/2) is a
+    qutrit matrices; a reference weight <= 0 (negative mass lets |rho13| pass 1/2) is a
     support hole, which the relative entropies read as +inf."""
     d = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).real, 0.0)
     re13 = m[..., 0, 2].real
@@ -189,14 +189,6 @@ def qutrit_elements_from_probabilities(qe: QutritElements) -> QutritMatrixElemen
     rho21 = p1_2 + i p2_2 - (1 + i)/2."""
     rho11 = qe.p3_2 + qe.p3_1 - 1.0
     rho22 = 1.0 - qe.p3_2
-    rho33 = 1.0 - rho11 - rho22
-    for name, value in (("rho11", rho11), ("rho22", rho22), ("rho33", rho33)):
-        if not -QUTRIT_DIAG_SLOP <= value <= 1.0 + QUTRIT_DIAG_SLOP:
-            raise DomainError(f"reconstructed {name} = {value} outside [0, 1]")
-    rho21 = complex(qe.p1_2 - 0.5, qe.p2_2 - 0.5)
-    return QutritMatrixElements(
-        rho11=min(max(rho11, 0.0), 1.0),
-        rho22=min(max(rho22, 0.0), 1.0),
-        rho33=min(max(rho33, 0.0), 1.0),
-        rho21=rho21,
-    )
+    names = tuple(f"reconstructed rho{k}{k}" for k in (1, 2, 3))
+    diagonal = _unit_interval([rho11, rho22, 1.0 - rho11 - rho22], names, QUTRIT_DIAG_SLOP)
+    return QutritMatrixElements(*diagonal.tolist(), complex(qe.p1_2 - 0.5, qe.p2_2 - 0.5))

@@ -14,7 +14,7 @@ PROB_SUM_ATOL = 1e-12
 # Density-matrix validation.
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-10  # eigenvalue floor; the entropy kernels mask this window out
+PSD_ATOL = 1e-10  # bound on a state's negative eigenvalue mass, which nothing derived exceeds
 
 # Inequality margins.
 SUBADDITIVITY_ATOL = 1e-10       # classical subadditivity and the matrix-element inequalities
@@ -30,5 +30,4 @@ TOMOGRAM_SUM_ATOL = 1e-10        # tomogram-sweep's bound on a table's raw |sum 
 SPIN_J_ATOL = 1e-9               # how far 2j may sit from an integer
 
 # Qubit and qutrit probability parametrizations.
-BLOCH_ATOL = 1e-10               # slack on the squared Bloch radius
 QUTRIT_DIAG_SLOP = 1e-12         # float noise window for reconstructed qutrit diagonals

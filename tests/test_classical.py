@@ -423,8 +423,8 @@ class TestSplitEntropies:
             assert single == tuple(float(s[index]) for s in stacked)
 
     def test_von_neumann_needs_no_clamp(self):
-        # Slack eigenvalues in [-PSD_ATOL, 0) add -0.0 under the kernel's mask, so the
-        # entropy equals the one of the clamped spectrum bit for bit.
+        # Negative eigenvalues (their sum at most PSD_ATOL) add -0.0 under the kernel's mask,
+        # so the entropy equals the one of the clamped spectrum bit for bit.
         rng = np.random.default_rng(43)
         states = [validate(np.diag([0.75 + 1e-11, 0.25, -1e-11]))]
         for n in (2, 3, 4, 6, 16, 64):

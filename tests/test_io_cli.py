@@ -9,6 +9,7 @@ from helpers import random_density
 from quditcorr import (
     Direction,
     Factorization,
+    NotPSD,
     TsallisParam,
     UsageError,
     direction_sweep,
@@ -28,9 +29,11 @@ from quditcorr.io import (
     load_density_matrix,
     load_direction_grid,
     load_probability_vector,
+    read_density_matrix,
     write_density_matrix,
 )
 from quditcorr.reporting import json_line, jsonable
+from quditcorr.tolerances import PSD_ATOL, QUANTUM_MUTUAL_ATOL
 
 LN2 = math.log(2.0)
 
@@ -714,25 +717,33 @@ def test_only_q_above_one_is_gated(tmp_path, capsys, command):
     assert sorted(reported) == labels
 
 
-# States the state check accepts, with eigenvalues in its [-PSD_ATOL, 0) slack: diagonal
-# states with one level at 1 + (N - 1) s and N - 1 at -s, and a qutrit whose |rho13|
-# passes 1/2.  No table derived from them is judged again.
-_SLACK_DIAGONALS = [(4, 5e-11, "2,2"), (16, 0.99e-10, "4,4"), (64, 0.99e-10, "8,8")]
+# States the state check accepts, whose negative eigenvalues sum to sigma <= PSD_ATOL: diagonal
+# states with one level at 1 + sigma and N - 1 at -s, sigma = (N - 1) s = 0.99 PSD_ATOL, and a
+# qutrit whose |rho13| passes 1/2.  No table derived from them is judged again.
+_SLACK_DIAGONALS = [(4, "2,2"), (16, "4,4"), (64, "8,8")]
 
 
-def _slack_diagonal(tmp_path, n, s):
+def _diagonal(n, s):
     levels = np.full(n, -s)
     levels[0] = 1.0 + (n - 1) * s
-    state = validate(np.diag(levels))
-    path = tmp_path / f"slack_{n}.json"
-    write_density_matrix(state, path)
-    return state, str(path)
+    return np.diag(levels)
+
+
+def _matrix_file(tmp_path, name, matrix) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dim": len(matrix), "re": matrix.tolist()}))
+    return str(path)
+
+
+def _slack_diagonal(tmp_path, n):
+    path = _matrix_file(tmp_path, f"slack_{n}", _diagonal(n, 0.99 * PSD_ATOL / (n - 1)))
+    return load_density_matrix(path), path
 
 
 class TestStatesTheCheckAccepts:
-    @pytest.mark.parametrize("n, s, dims", _SLACK_DIAGONALS)
-    def test_tomograms_are_zeroed_and_renormalized(self, tmp_path, capsys, n, s, dims):
-        state, path = _slack_diagonal(tmp_path, n, s)
+    @pytest.mark.parametrize("n, dims", _SLACK_DIAGONALS)
+    def test_tomograms_are_zeroed_and_renormalized(self, tmp_path, capsys, n, dims):
+        state, path = _slack_diagonal(tmp_path, n)
         rep, f = spin_rep((n - 1) / 2.0), Factorization(tuple(map(int, dims.split(","))))
         grid = [Direction(theta, phi) for theta in (0.0, 1.0, math.pi) for phi in (0.0, 2.0)]
         sweep = direction_sweep(state.matrix, rep, f, grid)
@@ -748,35 +759,73 @@ class TestStatesTheCheckAccepts:
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["max_normalization_error"] <= 1e-14
 
-    @pytest.mark.parametrize("n, s, dims", _SLACK_DIAGONALS)
-    def test_entropy_bound_allows_the_slack(self, tmp_path, capsys, n, s, dims):
-        # S = -(1 + sigma) ln(1 + sigma) with sigma = (N - 1) s, below 0 by more than
-        # ENTROPY_BOUND_ATOL at N = 4 and 16, but not below -sigma - sigma^2.
-        _, path = _slack_diagonal(tmp_path, n, s)
+    @pytest.mark.parametrize("n, dims", _SLACK_DIAGONALS)
+    def test_entropy_bound_allows_the_slack(self, tmp_path, capsys, n, dims):
+        # S = -(1 + sigma) ln(1 + sigma), between -sigma - sigma^2 and 0.
+        _, path = _slack_diagonal(tmp_path, n)
         _, out, _ = run_cli(capsys, "analyze-dm", "--input", path, "--dims", dims)
         entropy = {c["name"]: c for c in json.loads(out)["checks"]}["entropy_within_bounds"]
-        assert -(n - 1) * s * 1.001 <= entropy["value"] < 0.0
+        assert -0.99 * PSD_ATOL * 1.001 <= entropy["value"] < 0.0
         assert entropy["holds"] is True
 
-    @pytest.mark.parametrize("n, s, dims", [*_SLACK_DIAGONALS[:2], pytest.param(
-        *_SLACK_DIAGONALS[2], marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 17: I = -4.85e-9 is below -QUANTUM_MUTUAL_ATOL, and no multiple "
-            "of the slack bounds the mutual information")))])
-    def test_analyze_dm_exits_0(self, tmp_path, capsys, n, s, dims):
-        _, path = _slack_diagonal(tmp_path, n, s)
+    @pytest.mark.parametrize("n, dims", _SLACK_DIAGONALS)
+    def test_analyze_dm_exits_0(self, tmp_path, capsys, n, dims):
+        _, path = _slack_diagonal(tmp_path, n)
         code, out, err = run_cli(capsys, "analyze-dm", "--input", path, "--dims", dims)
         assert (code, err) == (0, ""), out
 
+    def test_mutual_information_allows_the_slack(self, tmp_path, capsys):
+        # diag(1 - s, s, s, -s) at 2 x 2 has pure reductions, so I = -S = -eta(1 - s) - 2 eta(s),
+        # about -4.7e-9 at s = 0.99 PSD_ATOL: below -QUANTUM_MUTUAL_ATOL, but not below the
+        # floor -s (1 + s + ln(N / s^2)) that the negative mass s allows.
+        s = 0.99 * PSD_ATOL
+        path = _matrix_file(tmp_path, "hidden_4", np.diag([1.0 - s, s, s, -s]))
+        code, out, err = run_cli(capsys, "analyze-dm", "--input", path, "--dims", "2,2")
+        assert (code, err) == (0, "")
+        mutual = {c["name"]: c for c in json.loads(out)["checks"]}["quantum_subadditivity"]
+        assert -s * (1.0 + s + math.log(4.0 / s**2)) <= mutual["value"] < -QUANTUM_MUTUAL_ATOL
+        assert mutual["holds"] is True
+
     def test_qutrit_coherence_past_one_half_is_a_support_hole(self):
-        # Eigenvalues -9.9e-11, -9.1e-11 and 1 pass the check, yet Re rho13 = 1/2 + 1.4e-10
+        # Eigenvalues -9.9e-11, 0 and 1 + 9.9e-11 pass the check, yet Re rho13 = 1/2 + 9.9e-11
         # leaves the reference weight 1/2 - Re rho13 below 0, where rho33 > 0 puts weight.
-        eps = 0.99e-10
-        a, c = (1.0 + eps) / 2.0, 0.5 + 1.4e-10
-        state = validate(np.array([[a, 0.0, c], [0.0, -eps, 0.0], [c, 0.0, a]]))
+        c = 0.5 + 0.99 * PSD_ATOL
+        state = validate(np.array([[0.5, 0.0, c], [0.0, 0.0, 0.0], [c, 0.0, 0.5]]))
         assert state.matrix[0, 2].real > 0.5
         for record in (qutrit_inequality_shannon(state),
                        qutrit_inequality_tsallis(state, TsallisParam(2.0))):
             assert (record.value, record.holds) == (math.inf, True)
+
+
+def _edge_6(s):
+    edge = np.array([-s, 0.3, -s, 0.3, -s, 0.0])
+    edge[5] = 1.0 - edge.sum()
+    return np.diag(edge)
+
+
+# Files an earlier floor (each eigenvalue >= -PSD_ATOL) accepted, with negative mass sigma past
+# PSD_ATOL: each is refused as it enters, before any derived value is taken.
+_QUTRIT_OVER = np.array([[0.5 + 0.495e-10, 0.0, 0.5 + 1.4e-10], [0.0, -0.99e-10, 0.0],
+                         [0.5 + 1.4e-10, 0.0, 0.5 + 0.495e-10]])
+_OVER_THE_FLOOR = {
+    "diagonal_4": (_diagonal(4, 5e-11), "2,2", 1.5e-10),
+    "diagonal_16": (_diagonal(16, 0.99e-10), "4,4", 1.485e-9),
+    "diagonal_64": (_diagonal(64, 0.99e-10), "8,8", 6.237e-9),
+    "edge_6": (_edge_6(4e-11), "2,3", 1.2e-10),
+    "qutrit": (_QUTRIT_OVER, "3,1", 1.895e-10),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVER_THE_FLOOR))
+def test_negative_mass_past_the_floor_is_refused(tmp_path, capsys, case):
+    matrix, dims, sigma = _OVER_THE_FLOOR[case]
+    path = _matrix_file(tmp_path, case, matrix)
+    assert np.linalg.eigvalsh(read_density_matrix(path)).min() >= -PSD_ATOL
+    with pytest.raises(NotPSD, match=f"^negative eigenvalue mass = {sigma:.3e} exceeds 1e-10$"):
+        load_density_matrix(path)
+    for command in ("analyze-dm", "tomogram-sweep"):
+        code, out, err = run_cli(capsys, command, "--input", path, "--dims", dims)
+        assert (code, out) == (2, "") and "negative eigenvalue mass" in err
 
 
 class TestDemoAndFuzz:

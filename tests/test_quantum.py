@@ -32,7 +32,8 @@ from quditcorr.classical import block_marginals
 from quditcorr.io import write_density_matrix
 from quditcorr.quantum import block_reductions, reductions_and_spectra, validate_stack
 from quditcorr.sampling import ginibre_density
-from quditcorr.tolerances import HERMITIAN_ATOL
+from quditcorr.tolerances import HERMITIAN_ATOL, PSD_ATOL
+from quditcorr.tomography import spin_rep, tomogram_diagonals
 
 LN2 = math.log(2.0)
 # Every layout of N <= 16 levels with at least two axes of two or more levels, then unit-axis
@@ -321,13 +322,16 @@ class TestReductionsAreNotCheckedAgain:
     ])
     def test_either_block_order_of_a_state_the_check_accepts(self, tmp_path, capsys, dims,
                                                              mutual, linear):
-        # Three eigenvalues of -4e-11 pass the state's floor, -PSD_ATOL = -1e-10, but at
-        # --dims 2,3 they sum into one leading reduced level of -1.2e-10.
-        diagonal = np.array([-4e-11, 0.3, -4e-11, 0.3, -4e-11, 0.0])
+        # Three eigenvalues of -3.3e-11 carry a negative mass of 0.99 PSD_ATOL; at --dims 2,3
+        # they sum into one leading reduced level of -9.9e-11, still inside the floor.
+        diagonal = np.array([-3.3e-11, 0.3, -3.3e-11, 0.3, -3.3e-11, 0.0])
         diagonal[5] = 1.0 - diagonal.sum()
         state = validate(np.diag(diagonal))
         f = Factorization(dims)
         rs, split = ReshapedState(state, f), QuditSplit(f, 1)
+        reduced = block_reductions(state.matrix, split.dim_left)
+        for partial_trace, expected in zip((partial_trace_right, partial_trace_left), reduced):
+            assert partial_trace(rs, split).matrix.tobytes() == expected.tobytes()
         assert abs(mutual_quantum_information(rs, split) - mutual) <= 1e-9
         assert abs(linear_entropy(rs, split) - linear) <= 1e-9
         path = tmp_path / "rho.json"
@@ -336,6 +340,65 @@ class TestReductionsAreNotCheckedAgain:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["mutual_info"] == mutual_quantum_information(rs, split)
         assert results["linear_entropy"] == linear_entropy(rs, split)
+
+
+def _negative_mass(eigenvalues: np.ndarray) -> np.ndarray:
+    return np.maximum(-eigenvalues, 0.0).sum(axis=-1)
+
+
+def _states_inside_the_floor(rng, d_left, d_right):
+    """(kind, matrix) pairs whose negative mass sigma is drawn from [0.5, 0.999] PSD_ATOL: a
+    diagonal state, the same spectrum turned by a Haar unitary, and a product positive part
+    (1 + sigma) rho_L x rho_R less sigma |w><w|, with w in its kernel."""
+    n = d_left * d_right
+    sigma = rng.uniform(0.5, 0.999) * PSD_ATOL
+    negative = rng.choice(n, size=rng.integers(1, n // 2 + 1), replace=False)
+    levels = rng.dirichlet(np.ones(n))
+    levels[negative] = 0.0
+    levels *= (1.0 + sigma) / levels.sum()
+    levels[negative] = -sigma * rng.dirichlet(np.ones(len(negative)))
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    factors, kernel = [], []
+    for side, d in enumerate((d_left, d_right)):
+        v = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        weights = rng.dirichlet(np.ones(d))
+        if side == 0:
+            weights[-1] = 0.0
+            weights /= weights.sum()
+        factors.append((v * weights) @ v.conj().T)
+        kernel.append(v[:, -1])
+    w = np.kron(kernel[1], kernel[0])  # the leading block fast, as in product_state
+    return [("diagonal", np.diag(levels)), ("unitary", (u * levels) @ u.conj().T),
+            ("product", (1.0 + sigma) * product_state(factors) - sigma * np.outer(w, w.conj()))]
+
+
+@pytest.mark.parametrize("d_left, d_right", [(a, b) for a in range(2, 9) for b in range(2, 9)])
+def test_no_value_derived_from_a_checked_state_leaves_its_floor(d_left, d_right):
+    # The trace norm contracts under partial traces and pinchings, so neither a reduction
+    # nor a tomogram row carries more negative mass than the state; a PPT positive part
+    # bounds the partial-transpose witness by -sigma.  Seeded, two draws of each kind.
+    rng = np.random.default_rng([d_left, d_right])
+    f = Factorization((d_left, d_right))
+    split, n = QuditSplit(f, 1), f.total
+    rep = spin_rep((n - 1) / 2.0)
+    theta, phi = np.append(0.0, rng.uniform(0.0, math.pi, 6)), rng.uniform(0.0, 2.0 * math.pi, 7)
+    draws = [pair for _ in range(2) for pair in _states_inside_the_floor(rng, d_left, d_right)]
+    for kind, matrix in draws:
+        state = validate(matrix)
+        sigma = _negative_mass(state.eigenvalues)
+        assert 0.49 * PSD_ATOL <= sigma <= PSD_ATOL
+        rs = ReshapedState(state, f)
+        _, spectra = reductions_and_spectra(state, d_left)
+        for spectrum in spectra:
+            assert _negative_mass(spectrum) <= sigma + 1e-15
+        assert (partial_trace_right(rs, split).dim, partial_trace_left(rs, split).dim) == f.dims
+        rows = tomogram_diagonals(rep, theta, phi, state.matrix)
+        assert _negative_mass(rows).max() <= sigma + 1e-15
+        if kind != "unitary":
+            verdict = separability_test(rs, split)
+            assert verdict.witness_value >= -sigma - 1e-15 and verdict.status != "entangled"
+        _, checks = cli._analyze_density_matrix(state, split)
+        assert all(record.holds for record in checks), (kind, checks)
 
 
 class TestLinearEntropy:

@@ -30,7 +30,7 @@ from quditcorr import (
 )
 from quditcorr.fuzz import family_table
 from quditcorr.sampling import bloch_ball_probabilities
-from quditcorr.tolerances import SUBADDITIVITY_ATOL
+from quditcorr.tolerances import PSD_ATOL, SUBADDITIVITY_ATOL, TRACE_ATOL
 
 LN2 = math.log(2.0)
 
@@ -100,6 +100,31 @@ class TestQubitInverse:
             assert abs(back.p1 - qp.p1) <= 1e-12
             assert abs(back.p2 - qp.p2) <= 1e-12
             assert abs(back.p3 - qp.p3) <= 1e-12
+
+    @pytest.mark.parametrize("matrix", [
+        # (I + r sigma_x + r sigma_y)/2 with r = (1 + 1.98e-10)/sqrt(2): Bloch radius
+        # 1 + 1.98e-10, eigenvalues 1 + 0.99e-10 and -0.99e-10.
+        np.array([[0.5, (1.0 - 1.0j) * (1.0 + 1.98e-10) / 8**0.5],
+                  [(1.0 + 1.0j) * (1.0 + 1.98e-10) / 8**0.5, 0.5]]),
+        # The trace error 0.99e-10 moves p3 to 1 + 1.98e-10.
+        np.diag([1.0 + 1.98e-10, -0.99e-10]),
+    ])
+    def test_every_qubit_the_check_accepts_round_trips(self, matrix):
+        state = validate(matrix)
+        qp = probabilities_from_qubit(state)
+        back = qubit_from_probabilities(qp)
+        assert np.abs(back.matrix - state.matrix).max() <= 2.0 * (PSD_ATOL + TRACE_ATOL)
+        assert probabilities_from_qubit(back) == qp
+
+    def test_bloch_radius_bound_follows_the_state_check(self):
+        # r <= 1 + 2 (PSD_ATOL + TRACE_ATOL), and each p within PSD_ATOL + TRACE_ATOL of [0, 1].
+        edge = 0.5 + (1.0 + 3.9e-10) / 12**0.5  # radius 1 + 3.9e-10 along (1, 1, 1)
+        assert QubitProbabilities(edge, edge, edge).p1 == edge
+        with pytest.raises(NotPSD, match="Bloch radius"):
+            QubitProbabilities(*[0.5 + (1.0 + 4.1e-10) / 12**0.5] * 3)
+        assert QubitProbabilities(0.5, 0.5, 1.0 + 1.9e-10).p3 == 1.0
+        with pytest.raises(DomainError, match="p3"):
+            QubitProbabilities(0.5, 0.5, 1.0 + 2.1e-10)
 
     def test_imaginary_sign_convention(self):
         # p2 above one half must mean a negative imaginary off-diagonal.

@@ -393,8 +393,8 @@ class TestDirectionSweep:
         assert tsallis_reports(sweep.tsallis[2.0])[0].subadditivity_holds
 
     def test_values_reach_down_to_the_state_floor(self):
-        # A checked state's tomogram values reach down to its least eigenvalue, anywhere in
-        # [-PSD_ATOL, 0); those are zeroed.
+        # A checked state's tomogram row is a pinching of it, so its negative values sum to no
+        # less than minus the state's negative mass, at most PSD_ATOL; those are zeroed.
         state = np.diag([1.0 + 5e-11, -5e-11])
         grid = [Direction(theta, phi) for theta in (0.0, 1.0, math.pi) for phi in (0.0, 2.0)]
         sweep = direction_sweep(state, SpinRep(0.5), Factorization((2, 1)), grid)

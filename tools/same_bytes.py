@@ -3,14 +3,14 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-75 commands and their inputs (drawn with numpy from a fixed seed) into one
+85 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
 with the first line that differs in each differing stream (old -> new), and
 each working-tree command that raised or exited other than 0 or 2 (a crash
-both trees share would otherwise count as identical), then "k/75 identical"
+both trees share would otherwise count as identical), then "k/85 identical"
 and how many commands exit 2, and exits 1 on any of those findings.
 """
 
@@ -91,7 +91,7 @@ def _write(path: Path, data) -> None:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 75 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 85 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -216,31 +216,38 @@ def write_corpus(tmp: Path) -> list:
                  (["analyze-prob", "--input", str(vector), "--dims", "6,1", "--conditionals"],
                   None)]
 
-    # States the state check accepts that a later check of derived values once refused: three
-    # eigenvalues of -4e-11 sum into one reduced level of -1.2e-10 at --dims 2,3, and a
-    # qubit's tomogram reaches its eigenvalue of -5e-11. Then a finite, Hermitian, unit-trace
-    # file whose m + m^dagger overflows, which both commands refuse as not PSD.
-    edge = np.array([-4e-11, 0.3, -4e-11, 0.3, -4e-11, 0.0])
-    edge[5] = 1.0 - edge.sum()
-    states = {"edge_6.json": {"dim": 6, "re": np.diag(edge).tolist()},
-              "floor_2.json": {"dim": 2, "re": np.diag([1.0 + 5e-11, -5e-11]).tolist()},
+    # Three eigenvalues of -4e-11 (negative mass 1.2e-10, which the state check refuses) and
+    # their twin at -3.3e-11 (9.9e-11, which it accepts); the twin's sum, one reduced level of
+    # -9.9e-11 at --dims 2,3, passes the floor too. A qubit's tomogram reaches its eigenvalue of
+    # -5e-11. Then a finite, Hermitian, unit-trace file whose m + m^dagger overflows, which both
+    # commands refuse as not PSD.
+    states = {"floor_2.json": {"dim": 2, "re": np.diag([1.0 + 5e-11, -5e-11]).tolist()},
               "near_float_max.json": {"dim": 2, "re": [[0.5, 1e308], [1e308, 0.5]]}}
+    for name, level in (("edge_6.json", -4e-11), ("edge_twin_6.json", -3.3e-11)):
+        edge = np.array([level, 0.3, level, 0.3, level, 0.0])
+        edge[5] = 1.0 - edge.sum()
+        states[name] = {"dim": 6, "re": np.diag(edge).tolist()}
     for name, payload in states.items():
         _write(tmp / name, json.dumps(payload))
     commands += [(["analyze-dm", "--input", str(tmp / "edge_6.json"), "--dims", dims], None)
                  for dims in ("2,3", "3,2")]
+    commands += [([command, "--input", str(tmp / "edge_twin_6.json"), "--dims", dims], None)
+                 for dims in ("2,3", "3,2") for command in ("analyze-dm", "tomogram-sweep")]
     commands += [([command, "--input", str(tmp / name), "--dims", "2,1"], None)
                  for command, name in (("tomogram-sweep", "floor_2.json"),
                                        ("analyze-dm", "near_float_max.json"),
                                        ("tomogram-sweep", "near_float_max.json"))]
-    # Diagonal states the check accepts with one level at 1 + (N - 1) s and N - 1 at -s: their
-    # tomograms reach past 1 and their entropies below 0 by the slack, which no check judges.
+    # Diagonal states with one level at 1 + (N - 1) s and N - 1 at -s. The slack_N files carry
+    # a negative mass (N - 1) s of 1.5e-10 to 6.2e-9, which the state check refuses; their
+    # twins carry 0.99 PSD_ATOL, which it accepts: their tomograms reach past 1 and their
+    # entropies below 0 by that mass, and the checks allow for it.
     for n, slack, dims in ((4, 5e-11, "2,2"), (16, 0.99e-10, "4,4"), (64, 0.99e-10, "8,8")):
-        levels = np.full(n, -slack)
-        levels[0] = 1.0 + (n - 1) * slack
-        _write(tmp / f"slack_{n}.json", json.dumps({"dim": n, "re": np.diag(levels).tolist()}))
-        commands += [([command, "--input", str(tmp / f"slack_{n}.json"), "--dims", dims], None)
-                     for command in ("analyze-dm", "tomogram-sweep")]
+        for name, s in ((f"slack_{n}.json", slack), (f"slack_twin_{n}.json", 0.99e-10 / (n - 1))):
+            levels = np.full(n, -s)
+            levels[0] = 1.0 + (n - 1) * s
+            _write(tmp / name, json.dumps({"dim": n, "re": np.diag(levels).tolist()}))
+            commands += [([command, "--input", str(tmp / name), "--dims", dims], None)
+                         for command in ("analyze-dm", "tomogram-sweep")]
     return commands
 
 
