@@ -23,9 +23,8 @@ def probability_rows(arr: np.ndarray) -> np.ndarray:
     if low != low:
         raise DomainError("probability vector contains NaN")
     if low < -PROB_NEG_CLAMP:
-        raise DomainError(
-            f"negative probability {low:.3e} below the -{PROB_NEG_CLAMP:.0e} clamp window"
-        )
+        raise DomainError(f"negative probability {low:.3e} below the -{PROB_NEG_CLAMP:.0e} "
+                          "clamp window")
     arr[arr < 0.0] = 0.0
     totals = arr.sum(axis=-1, keepdims=True)
     gaps = np.abs(totals - 1.0)
@@ -146,9 +145,7 @@ def conditional(view: JointView, given_axes, target_axes, given_values) -> Proba
         raise UsageError(f"given and target axes overlap: {sorted(set(given) & set(target))}")
     values = tuple(integer(v, "conditioning value") for v in integers(given_values, "given_values"))
     if len(values) != len(given):
-        raise UsageError(
-            f"got {len(values)} conditioning values for {len(given)} axes"
-        )
+        raise UsageError(f"got {len(values)} conditioning values for {len(given)} axes")
     # Pair values with the axes as passed, then evaluate in sorted-axis order.
     pairs = dict(zip(tuple(int(a) for a in given_axes), values))
     for k in given:
@@ -233,17 +230,8 @@ def subadditivity_report(view: JointView, split: QuditSplit) -> SubadditivityRep
     """
     split.check_belongs(view.factorization, "view")
     left, right = map(ProbabilityVector, block_marginals(view.base.probs, split.dim_left))
-    s_left, s_right, s_joint, mutual = _kernels.split_entropies(
-        left.probs, right.probs, view.base.probs
-    )
-    return SubadditivityReport(
-        s_left=s_left,
-        s_right=s_right,
-        s_joint=s_joint,
-        mutual_info=mutual,
-        left=left,
-        right=right,
-    )
+    entropies = _kernels.split_entropies(left.probs, right.probs, view.base.probs)
+    return SubadditivityReport(*entropies, left, right)
 
 
 def classical_ssa_check(view: JointView, blocks) -> CheckRecord:

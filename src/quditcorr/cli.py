@@ -42,7 +42,7 @@ from .quantum import (
     separability_test,
     validate,
 )
-from .reporting import CheckRecord, Report, check, json_line
+from .reporting import CheckRecord, Report, check, holds, json_line
 from .tolerances import (
     CHSH_ATOL,
     DEMO_CLOSED_FORM_ATOL,
@@ -53,7 +53,7 @@ from .tolerances import (
     SUBADDITIVITY_ATOL,
     TOMOGRAM_SUM_ATOL,
 )
-from .tomography import Direction, check_two_axes, direction_sweep, spin_rep, tsallis_reports
+from .tomography import check_two_axes, direction_sweep, spin_rep
 
 
 def _dims_arg(text: str) -> tuple[int, ...]:
@@ -61,8 +61,7 @@ def _dims_arg(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"dims must be a comma-separated integer list, got {text!r}"
-        ) from None
+            f"dims must be a comma-separated integer list, got {text!r}") from None
 
 
 @functools.cache
@@ -234,10 +233,10 @@ def _cmd_analyze_dm(args) -> Report:
     return _report(args, *_analyze_density_matrix(state, split))
 
 
-def _default_grid() -> list[Direction]:
-    thetas = np.linspace(0.0, math.pi, 10)
-    phis = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
-    return [Direction(theta=float(t), phi=float(p)) for t in thetas for p in phis]
+def _default_grid() -> np.ndarray:
+    theta, phi = np.meshgrid(np.linspace(0.0, math.pi, 10),
+                             np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False), indexing="ij")
+    return np.column_stack([theta.ravel(), phi.ravel(), np.zeros(100)])
 
 
 def _cmd_tomogram_sweep(args) -> Report:
@@ -250,27 +249,29 @@ def _cmd_tomogram_sweep(args) -> Report:
     sweep = direction_sweep(matrix, rep, factorization, grid, qs)
 
     if args.out:
-        reports = {tq.label: tsallis_reports(sweep.tsallis[tq.q]) for tq in qs}
-        rows = zip(sweep.directions, sweep.values.tolist(), sweep.information.tolist(),
+        columns = {}
+        for tq in qs:
+            table = sweep.tsallis[tq.q]
+            verdicts = holds(table[3], SUBADDITIVITY_ATOL).tolist()
+            columns[tq.label] = [{"s_q1": a, "s_q2": b, "s_q": c, "subadditivity_holds": h}
+                                 for a, b, c, h in zip(*table[:3].tolist(), verdicts)]
+        rows = zip(sweep.angles.tolist(), sweep.values.tolist(), sweep.information.tolist(),
                    sweep.normalization_error.tolist())
-        payloads = (
-            {
-                **vars(direction),
-                "values": values,
-                "information": information,
-                "tsallis": {q: vars(column[k]) for q, column in reports.items()},
-                "normalization_error": error,
-            }
-            for k, (direction, values, information, error) in enumerate(rows)
-        )
+        payloads = ({"theta": theta, "phi": phi, "psi": psi, "values": values,
+                     "information": information, "normalization_error": error,
+                     "tsallis": {q: column[k] for q, column in columns.items()}}
+                    for k, ((theta, phi, psi), values, information, error) in enumerate(rows))
         Path(args.out).write_text("".join(json_line(p) + "\n" for p in payloads))
 
     argmin = int(sweep.information.argmin())
     min_information = float(sweep.information[argmin])
     max_error = float(sweep.normalization_error.max())
+    theta, phi, psi = sweep.angles[argmin].tolist()
+    # A raw table sums to Tr rho up to rounding, so only its drift from the trace is judged.
     checks = [
         check("tomographic_information_min", min_information, SUBADDITIVITY_ATOL),
-        check("tomogram_normalization_max_error", max_error, TOMOGRAM_SUM_ATOL, -math.inf, 0.0),
+        check("tomogram_normalization_max_error", max_error, TOMOGRAM_SUM_ATOL, -math.inf,
+              abs(float(np.trace(matrix).real) - 1.0)),
     ]
     checks += [check(f"tomographic_tsallis_min_margin_q={tq.label}",
                      float(sweep.tsallis[tq.q][3].min()), SUBADDITIVITY_ATOL)
@@ -278,9 +279,9 @@ def _cmd_tomogram_sweep(args) -> Report:
     results = {
         "units": "nats",
         "spin_j": rep.j,
-        "n_directions": len(sweep.directions),
+        "n_directions": len(sweep.angles),
         "min_information": min_information,
-        "min_information_direction": {"index": argmin, **vars(sweep.directions[argmin])},
+        "min_information_direction": {"index": argmin, "theta": theta, "phi": phi, "psi": psi},
         "max_normalization_error": max_error,
     }
     return _report(args, results, checks, qs)
@@ -306,9 +307,8 @@ def _cmd_demo_four_level(args) -> Report:
         "x1": {str(y): decompose(y, factorization).coords[0] for y in range(1, 5)},
         "x2": {str(y): decompose(y, factorization).coords[1] for y in range(1, 5)},
     }
-    mismatches = sum(
-        tables[name][k] != v for name, table in _EXPECTED_TABLES.items() for k, v in table.items()
-    )
+    mismatches = sum(tables[name][k] != v
+                     for name, table in _EXPECTED_TABLES.items() for k, v in table.items())
 
     # Equal superposition of the extreme spin projections, relabelled
     # -3/2 -> 1, ..., 3/2 -> 4: the vector (1, 0, 0, 1)/sqrt(2).

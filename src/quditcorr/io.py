@@ -4,7 +4,8 @@ Density matrices travel as {"dim": N, "re": [[...]], "im": [[...]]} with
 row-major N x N arrays; the writer emits floats via repr, which round-trips
 exactly.  Probability vectors come from a JSON array (.json) or one value
 per line (anything else).  Direction grids are JSON arrays of
-{"theta": ..., "phi": ..., "psi": optional}.
+{"theta": ..., "phi": ..., "psi": optional}, loaded as one (n, 3) array of
+checked angles.
 """
 
 import json
@@ -16,7 +17,7 @@ from .classical import ProbabilityVector
 from .errors import UsageError
 from .quantum import DensityMatrix, validate
 from .reporting import _render
-from .tomography import Direction
+from .tomography import check_angles
 
 
 def _read(path: Path, parse=str):
@@ -139,16 +140,24 @@ def write_density_matrix(state: DensityMatrix, path) -> None:
         out.write("\n}\n")
 
 
-def load_direction_grid(path) -> list[Direction]:
+def load_direction_grid(path) -> np.ndarray:
+    """The (n, 3) float array of the file's checked (theta, phi, psi) rows, psi 0 if absent, in
+    one pass; only a refused file is read entry by entry, so that the first bad entry is named."""
     path = Path(path)
     data, booleans = _read_json(path)
     if not isinstance(data, list) or not data:
         raise UsageError(f"{path}: expected a nonempty JSON array of directions")
-    grid = []
-    for k, entry in enumerate(data):
-        if not isinstance(entry, dict) or "theta" not in entry or "phi" not in entry:
-            raise UsageError(f"{path}: entry {k} must carry 'theta' and 'phi'")
-        angles = [entry["theta"], entry["phi"], entry.get("psi", 0.0)]
-        what = f"entry {k} has a non-numeric angle"
-        grid.append(Direction(*_numbers(path, angles, what, booleans, (3,))))
+    try:  # a non-object entry refuses the index, and an object without a key raises KeyError
+        rows = [[entry["theta"], entry["phi"], entry.get("psi", 0.0)] for entry in data]
+        grid = _numbers(path, rows, "angles", booleans, (len(rows), 3))
+    except (TypeError, KeyError, UsageError):  # entry by entry: form, numbers, then ranges
+        grid = []
+        for k, entry in enumerate(data):
+            if not isinstance(entry, dict) or "theta" not in entry or "phi" not in entry:
+                raise UsageError(f"{path}: entry {k} must carry 'theta' and 'phi'") from None
+            angles = [entry["theta"], entry["phi"], entry.get("psi", 0.0)]
+            what = f"entry {k} has a non-numeric angle"
+            grid.append(check_angles(*_numbers(path, angles, what, booleans, (3,))))
+        grid = np.array(grid)
+    check_angles(*grid.T)  # entry-major, so the first entry out of range is named
     return grid

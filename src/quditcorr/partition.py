@@ -91,9 +91,8 @@ class Factorization:
     def check_total(self, size: int, what: str) -> None:
         """Raise UsageError unless the dims span exactly the `size` levels of `what`."""
         if self.total != size:
-            raise UsageError(
-                f"dimension mismatch: factorization total {self.total} != {what} {size}"
-            )
+            raise UsageError(f"dimension mismatch: factorization total {self.total} != "
+                             f"{what} {size}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,7 @@ class MultiIndex:
         coords = tuple(integer(c, f"coordinate x{axis}") for axis, c in enumerate(coords, 1))
         dims = self.factorization.dims
         if len(coords) != len(dims):
-            raise DomainError(
-                f"expected {len(dims)} coordinates, got {len(coords)}"
-            )
+            raise DomainError(f"expected {len(dims)} coordinates, got {len(coords)}")
         for axis, (c, d) in enumerate(zip(coords, dims), start=1):
             if not 1 <= c <= d:
                 raise DomainError(f"coordinate x{axis} = {c} outside 1..{d}")

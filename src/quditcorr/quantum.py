@@ -241,9 +241,8 @@ def correlation_matrix(rs: ReshapedState, split: QuditSplit) -> np.ndarray:
     sigma_i acting on the leading block."""
     split.check_belongs(rs.factorization, "reshaped state")
     if split.dim_left != 2 or split.dim_right != 2:
-        raise UsageError(
-            f"both blocks must be two-dimensional, got {split.dim_left}x{split.dim_right}"
-        )
+        raise UsageError(f"both blocks must be two-dimensional, got {split.dim_left}x"
+                         f"{split.dim_right}")
     terms = rs.base.matrix[np.arange(4), _T_ROWS] * _T_PHASES
     return terms.sum(axis=-1).real.reshape(3, 3)
 
@@ -272,7 +271,6 @@ def product_state(factors, factorization: Factorization | None = None) -> np.nda
         dims.append(a.shape[0])
         out = np.kron(a, out)
     if factorization is not None and tuple(dims) != factorization.dims:
-        raise UsageError(
-            f"factor dimensions {tuple(dims)} do not match factorization {factorization.dims}"
-        )
+        raise UsageError(f"factor dimensions {tuple(dims)} do not match factorization "
+                         f"{factorization.dims}")
     return out

@@ -83,8 +83,9 @@ def qubit_from_probabilities(qp: QubitProbabilities) -> DensityMatrix:
 def probabilities_from_qubit(state: DensityMatrix) -> QubitProbabilities:
     """Invert `qubit_from_probabilities`; round-trips exactly."""
     _require_dim(state, 2)
-    off = complex(state.matrix[0, 1])
-    return QubitProbabilities(off.real + 0.5, -off.imag + 0.5, float(state.matrix[0, 0].real))
+    (a, off), (_, d) = state.matrix.tolist()
+    trace = a.real + d.real  # the rebuilt matrix has trace 1, so each element is divided by it
+    return QubitProbabilities(off.real / trace + 0.5, -off.imag / trace + 0.5, a.real / trace)
 
 
 def _require_dim(state: DensityMatrix, dim: int) -> None:
@@ -146,8 +147,7 @@ def qutrit_inequality_tsallis(state: DensityMatrix, tq: TsallisParam) -> CheckRe
     if not tq.gated:
         raise UsageError(f"the Tsallis matrix-element inequality needs q > 1, got q = {tq.q}")
     _require_dim(state, 3)
-    p, r = qutrit_distributions(state.matrix)
-    value = _kernels.relative_tsallis(p, r, tq.q)
+    value = _kernels.relative_tsallis(*qutrit_distributions(state.matrix), tq.q)
     return check(f"qutrit_tsallis_q={tq.label}", value, SUBADDITIVITY_ATOL)
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from ._version import __version__
 
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)  # json_line's, built once
+
 
 @dataclass
 class CheckRecord:
@@ -64,11 +66,11 @@ def jsonable(obj):
 
 
 def json_line(obj) -> str:
-    """json.dumps(jsonable(obj), sort_keys=True) for str-keyed obj: through the C encoder
-    when obj holds only JSON types and finite floats, and through jsonable when that
+    """json.dumps(jsonable(obj), sort_keys=True) for str-keyed obj: through one shared C
+    encoder when obj holds only JSON types and finite floats, and through jsonable when that
     raises, so that infinities and the NaN refusal keep jsonable's rules."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False)
+        return _LINE_ENCODER.encode(obj)
     except (TypeError, ValueError):
         return json.dumps(jsonable(obj), sort_keys=True)
 

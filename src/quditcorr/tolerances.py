@@ -26,7 +26,7 @@ DEMO_CLOSED_FORM_ATOL = 1e-10    # demo mutual information and PPT witness again
 DEMO_LINEAR_ENTROPY_ATOL = 1e-12  # demo linear entropy against 1/2
 
 # Tomograms.
-TOMOGRAM_SUM_ATOL = 1e-10        # tomogram-sweep's bound on a table's raw |sum - 1|
+TOMOGRAM_SUM_ATOL = 1e-10        # tomogram-sweep's bound on a raw table's drift from Tr rho
 SPIN_J_ATOL = 1e-9               # how far 2j may sit from an integer
 
 # Qubit and qutrit probability parametrizations.

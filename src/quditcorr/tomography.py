@@ -1,16 +1,15 @@
 """Spin tomograms and their partition-map correlation diagnostics.
 
-A tomogram w(m | n) is the diagonal of u rho u^dagger, where u is the SU(2)
-rotation carrying the measurement direction n.  Only the Wigner factor
-d = exp(i theta Jy) and the phase P = exp(i phi Jz) of u reach the diagonal,
-and d is real orthogonal (i Jy is real antisymmetric), so the diagonal is
-rowsum((d Re(P rho P^dagger)) * d).  Only the top ceil(N/2) rows of d are
-multiplied out; the symmetry d_{-m,-m'} = (-1)^(m-m') d_{m,m'} mirrors the
-rest, so a direction costs about 1.5 N^3 real multiply-adds.  Tables are
-reported in the flat-index order m = -j -> 1, ..., m = j -> 2j+1, which
-reverses the storage basis (|m> kept with m descending); relabelled this
-way, a tomogram is a one-variable distribution that the partition
-machinery can analyze.
+A tomogram w(m | n) is the diagonal of u rho u^dagger, where u is the SU(2) rotation carrying
+the measurement direction n.  Only the Wigner factor d = exp(i theta Jy) and the phase
+P = exp(i phi Jz) of u reach the diagonal, and d is real orthogonal (i Jy is real
+antisymmetric), so the diagonal is rowsum((d Re(P rho P^dagger)) * d).  Only the top ceil(N/2)
+rows of d are multiplied out; the symmetry d_{-m,-m'} = (-1)^(m-m') d_{m,m'} mirrors the rest,
+so a direction costs about 1.5 N^3 real multiply-adds.  Tables are reported in the flat-index
+order m = -j -> 1, ..., m = j -> 2j+1, which reverses the storage basis (|m> kept with m
+descending); relabelled this way, a tomogram is a one-variable distribution that the partition
+machinery can analyze.  A sweep takes its grid as one (n, 3) array of checked (theta, phi,
+psi) rows and builds no Direction, the one-direction form.
 """
 
 import math
@@ -45,16 +44,22 @@ class Direction:
 
 
 def check_angles(theta, phi, psi):
-    """Reject theta outside [0, pi], phi outside [0, 2 pi) or a non-finite
-    psi, given single angles or arrays of them; return the angles."""
-    for name, value, ok, what in (
-        ("theta", theta, (0.0 <= theta) & (theta <= math.pi), "outside [0, pi]"),
-        ("phi", phi, (0.0 <= phi) & (phi < 2.0 * math.pi), "outside [0, 2*pi)"),
-        ("psi", psi, abs(psi) < math.inf, "is not finite"),
-    ):
+    """Reject theta outside [0, pi], phi outside [0, 2 pi) or a non-finite psi, given single
+    angles or arrays of them; return the angles.  Arrays are judged entry-major, as one
+    Direction per entry would be: the first bad entry is named, and in it theta, phi, psi."""
+    oks = ((0.0 <= theta) & (theta <= math.pi), (0.0 <= phi) & (phi < 2.0 * math.pi),
+           abs(psi) < math.inf)
+    for ok in oks:
         if ok is not True and not np.all(ok):  # floats give a bool, arrays an array
-            raise DomainError(f"{name} = {np.extract(np.logical_not(ok), value)[0]} {what}")
-    return theta, phi, psi
+            break
+    else:
+        return theta, phi, psi
+    bad = np.logical_not(np.stack(np.broadcast_arrays(*oks), axis=-1))
+    entry, k = divmod(int(bad.argmax()), 3)  # the first True in (entry, angle) order
+    value = np.broadcast_to((theta, phi, psi)[k], bad.shape[:-1]).flat[entry]
+    name, what = (("theta", "outside [0, pi]"), ("phi", "outside [0, 2*pi)"),
+                  ("psi", "is not finite"))[k]
+    raise DomainError(f"{name} = {value} {what}")
 
 
 class SpinRep:
@@ -323,7 +328,7 @@ def mutual_tomographic_information(table: TomogramTable, factorization: Factoriz
 class Sweep(NamedTuple):
     """Tomographic diagnostics over a direction grid, indexed by direction in grid order."""
 
-    directions: list[Direction]
+    angles: np.ndarray  # (n, 3) rows of theta, phi, psi
     values: np.ndarray  # (n, N) tables
     normalization_error: np.ndarray  # (n,)
     information: np.ndarray  # (n,) mutual tomographic information
@@ -333,14 +338,16 @@ class Sweep(NamedTuple):
 def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs=()) -> Sweep:
     """Evaluate the tomographic diagnostics of the N x N state `matrix` over a direction grid.
 
-    The matrix is checked against rep's dimension, then as a state by certify_stack (the
-    refusals and messages are DensityMatrix's, with one Cholesky factorization in place
-    of the spectrum), then the partition, all before any tomogram, which is judged no further.
-    One tomogram_diagonals call computes every direction, each row bit for bit as `tomogram`
-    would on validate(matrix), and marginals and entropies are taken once, over the stack.
+    The grid is Directions or, as io.load_direction_grid returns it, an (n, 3) array of checked
+    (theta, phi, psi) rows.  The matrix is checked against rep's dimension, then as a state by
+    certify_stack (the refusals and messages are DensityMatrix's, with one Cholesky factorization
+    in place of the spectrum), then the partition, all before any tomogram, which is judged no
+    further.  One tomogram_diagonals call computes every direction, each row bit for bit as
+    `tomogram` would on validate(matrix); marginals and entropies are taken once.
     """
-    directions = list(grid)
-    if not directions:
+    if not isinstance(grid, np.ndarray):
+        grid = np.array([(d.theta, d.phi, d.psi) for d in grid], dtype=float).reshape(-1, 3)
+    if not len(grid):
         raise UsageError("direction grid is empty")
     if isinstance(matrix, DensityMatrix):
         raise UsageError("direction_sweep takes the state's N x N matrix: pass state.matrix")
@@ -348,9 +355,8 @@ def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs
     _check_dimension(rho.shape, rep)
     rho = certify_stack(rho)
     _check_partition(factorization, rep.dim)
-    theta, phi = (np.array([getattr(d, name) for d in directions]) for name in ("theta", "phi"))
-    values, errors = tomogram_values(tomogram_diagonals(rep, theta, phi, rho))
+    values, errors = tomogram_values(tomogram_diagonals(rep, grid[:, 0], grid[:, 1], rho))
     first, second = map(probability_rows, block_marginals(values, factorization.dims[0]))
     entropies = {tq.q: np.array(_kernels.split_entropies(first, second, values, tq.q)) for tq in qs}
     information = _kernels.split_entropies(first, second, values)[3]
-    return Sweep(directions, values, errors, information, entropies)
+    return Sweep(grid, values, errors, information, entropies)

@@ -14,8 +14,11 @@ import numpy as np
 from quditcorr import Factorization, MultiIndex, QuditSplit, compose, decompose, split_index
 from quditcorr._kernels import split_entropies
 from quditcorr.classical import probability_rows
+from quditcorr.errors import UsageError
 from quditcorr.fuzz import blocks, draw_products, split_mutual_information
+from quditcorr.io import _numbers, _read_json
 from quditcorr.quantum import block_reductions, stack_spectra
+from quditcorr.tomography import Direction
 
 
 def shannon_ref(values) -> float:
@@ -130,6 +133,23 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m)
+
+
+def load_direction_grid_ref(path) -> np.ndarray:
+    """The grid file read one entry at a time: its form, its numbers (io._numbers) and a
+    Direction built from them, whose angles are read off as one (n, 3) row."""
+    data, booleans = _read_json(path)
+    if not isinstance(data, list) or not data:
+        raise UsageError(f"{path}: expected a nonempty JSON array of directions")
+    rows = []
+    for k, entry in enumerate(data):
+        if not isinstance(entry, dict) or "theta" not in entry or "phi" not in entry:
+            raise UsageError(f"{path}: entry {k} must carry 'theta' and 'phi'")
+        angles = [entry["theta"], entry["phi"], entry.get("psi", 0.0)]
+        what = f"entry {k} has a non-numeric angle"
+        direction = Direction(*_numbers(path, angles, what, booleans, (3,)))
+        rows.append([direction.theta, direction.phi, direction.psi])
+    return np.array(rows)
 
 
 def wigner_d_full(rep, theta) -> np.ndarray:

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import load_direction_grid_ref, random_density
 from quditcorr import (
     Direction,
+    DomainError,
     Factorization,
     NotPSD,
     TsallisParam,
+    QuditCorrError,
     UsageError,
     direction_sweep,
     mutual_tomographic_information,
@@ -21,7 +23,7 @@ from quditcorr import (
     tomographic_tsallis_report,
     validate,
 )
-from quditcorr import cli
+from quditcorr import cli, tomography
 from quditcorr.cli import build_parser, main
 from quditcorr.fuzz import BLOCK
 from quditcorr.io import (
@@ -129,13 +131,87 @@ class TestIo:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps([{"theta": 0.5, "phi": 1.0}, {"theta": 1.0, "phi": 0.0, "psi": 2.0}]))
         grid = load_direction_grid(path)
-        assert len(grid) == 2 and grid[1].psi == 2.0
+        assert grid.tolist() == [[0.5, 1.0, 0.0], [1.0, 0.0, 2.0]]
 
     def test_direction_grid_missing_field(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps([{"theta": 0.5}]))
         with pytest.raises(UsageError, match="phi"):
             load_direction_grid(path)
+
+
+# Grids with more than one bad entry, and what a Direction built per entry says of each: the
+# first bad entry is named, and within an entry its form, then its numbers, then its ranges.
+_GRID_PRECEDENCE = [
+    ("phi_0_before_theta_1", '[{"theta": 0.3, "phi": 7.0}, {"theta": 4.0, "phi": 0.1}]',
+     DomainError, "phi = 7.0 outside [0, 2*pi)"),
+    ("range_1_before_key_2",
+     '[{"theta": 0.3, "phi": 0.1}, {"theta": -0.5, "phi": 0.1}, {"theta": 0.3}]',
+     DomainError, "theta = -0.5 outside [0, pi]"),
+    ("text_0_before_key_1", '[{"theta": "0.3", "phi": 0.1}, {"phi": 0.2}]',
+     UsageError, "{path}: entry 0 has a non-numeric angle: strings are not numbers"),
+    ("range_0_before_null_1", '[{"theta": 0.3, "phi": -1.0}, {"theta": null, "phi": 0.2}]',
+     DomainError, "phi = -1.0 outside [0, 2*pi)"),
+    ("infinity_0_before_range_1",
+     '[{"theta": 0.3, "phi": 0.1, "psi": Infinity}, {"theta": 9.0, "phi": 0.1}]',
+     UsageError, "{path}: entry 0 has a non-numeric angle: Infinity is not a number"),
+    ("key_0_before_range_1", '[[0.3, 0.1], {"theta": 9.0, "phi": 0.1}]',
+     UsageError, "{path}: entry 0 must carry 'theta' and 'phi'"),
+]
+
+
+def _refusal(load, path):
+    with pytest.raises(QuditCorrError) as info:
+        load(path)
+    return type(info.value), str(info.value)
+
+
+class TestDirectionGridArray:
+    @pytest.mark.parametrize("n", [1, 1000])
+    @pytest.mark.parametrize("with_psi", [False, True])
+    def test_matches_the_per_entry_reference_bit_for_bit(self, tmp_path, n, with_psi):
+        rng = np.random.default_rng([n, with_psi])
+        angles = np.column_stack([rng.uniform(0.0, math.pi, n), rng.uniform(0.0, 2.0 * math.pi, n),
+                                  rng.uniform(-10.0, 10.0, n)]).tolist()
+        entries = [dict(zip(("theta", "phi", "psi")[:2 + with_psi], row)) for row in angles]
+        for entry in entries[::7]:  # JSON integers too
+            entry["theta"], entry["phi"] = int(entry["theta"]), int(entry["phi"])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(entries))
+        grid, expected = load_direction_grid(path), load_direction_grid_ref(path)
+        assert grid.dtype == np.float64 and grid.shape == (n, 3)
+        assert grid.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text, kind, message",
+                             [case[1:] for case in _GRID_PRECEDENCE],
+                             ids=[case[0] for case in _GRID_PRECEDENCE])
+    def test_the_first_bad_entry_is_named(self, tmp_path, text, kind, message):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        expected = (kind, message.format(path=path))
+        assert _refusal(load_direction_grid_ref, path) == expected
+        assert _refusal(load_direction_grid, path) == expected
+
+    @pytest.mark.parametrize("grid", [
+        [{"theta": 0.3, "phi": 0.1}, {"theta": [1, 2], "phi": 0.1}, {"theta": 9.0, "phi": 0.1}],
+        [{"theta": 0.3, "phi": 0.1}, {"theta": [1], "phi": [0.1], "psi": [0.0]}],
+        [{"theta": 0.3, "phi": 0.1}, {"theta": {"a": 1}, "phi": 0.1}, {"phi": 0.1}],
+    ])
+    def test_misshapen_numbers_are_refused_as_per_entry(self, tmp_path, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        kind, message = _refusal(load_direction_grid, path)
+        assert (kind, message) == _refusal(load_direction_grid_ref, path)
+        assert message.startswith(f"{path}: entry 1 has a non-numeric angle: ")
+
+    def test_range_edges_are_accepted(self, tmp_path):
+        below_two_pi = math.nextafter(2.0 * math.pi, 0.0)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([{"theta": math.pi, "phi": below_two_pi},
+                                    {"theta": 0.0, "phi": 0.0, "psi": -3.0}]))
+        grid = load_direction_grid(path)
+        assert grid.tolist() == [[math.pi, below_two_pi, 0.0], [0.0, 0.0, -3.0]]
+        assert grid.tobytes() == load_direction_grid_ref(path).tobytes()
 
 
 class TestAnalyzeProb:
@@ -370,6 +446,72 @@ class TestTomogramSweep:
         with pytest.raises(ValueError) as got:
             json_line(record)
         assert str(got.value) == str(expected.value)
+
+    def test_the_sweep_builds_no_direction(self, tmp_path, capsys, monkeypatch):
+        rho_path, grid_path = tmp_path / "rho.json", tmp_path / "grid.json"
+        write_density_matrix(validate(random_density(np.random.default_rng(43), 6)), rho_path)
+        grid_path.write_text(json.dumps([{"theta": 0.3, "phi": 0.4},
+                                         {"theta": 1.2, "phi": 5.0, "psi": 0.7}]))
+        records_path = tmp_path / "records.jsonl"
+
+        def sweeps():
+            runs = []
+            for grid in ([], ["--grid", str(grid_path)]):
+                code, out, err = run_cli(capsys, "tomogram-sweep", "--input", str(rho_path),
+                                         "--dims", "3,2", "--q", "2", *grid,
+                                         "--out", str(records_path))
+                runs.append((code, out, err, records_path.read_text()))
+            return runs
+
+        expected = sweeps()
+        assert [(code, err) for code, _, err, _ in expected] == [(0, ""), (0, "")]
+
+        def refuse(self):
+            raise AssertionError("tomogram-sweep built a Direction")
+
+        monkeypatch.setattr(Direction, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="built a Direction"):
+            Direction(0.1, 0.2)
+        assert sweeps() == expected
+
+    @staticmethod
+    def _near_the_trace_edge(tmp_path):
+        """Accepted 16-level states at trace 1 + 1e-10 (1 - 1e-6 u), as files."""
+        rng = np.random.default_rng(5)
+        paths = []
+        for k in range(100):
+            matrix = random_density(rng, 16) * (1.0 + 1e-10 * (1.0 - 1e-6 * rng.random()))
+            try:
+                validate(matrix)
+            except QuditCorrError:
+                continue
+            paths.append(tmp_path / f"edge_{k}.json")
+            paths[-1].write_text(json.dumps(density_matrix_payload(matrix)))
+        assert len(paths) >= 5
+        return paths
+
+    def test_a_trace_error_the_check_accepts_exits_0(self, tmp_path, capsys):
+        # Each raw table sums to the trace, 1 + 1e-10 up to rounding, past TOMOGRAM_SUM_ATOL.
+        for path in self._near_the_trace_edge(tmp_path):
+            code, out, err = run_cli(capsys, "tomogram-sweep", "--input", str(path),
+                                     "--dims", "4,4")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["results"]["max_normalization_error"] > 1e-10
+
+    def test_a_kernel_that_drifts_from_the_trace_exits_1(self, tmp_path, capsys, monkeypatch):
+        kernel = tomography.tomogram_diagonals
+
+        def drifting(*args):
+            diagonals = kernel(*args)
+            diagonals[..., 0] += 2e-10
+            return diagonals
+
+        monkeypatch.setattr(tomography, "tomogram_diagonals", drifting)
+        for path in self._near_the_trace_edge(tmp_path)[:2]:
+            code, out, _ = run_cli(capsys, "tomogram-sweep", "--input", str(path), "--dims", "4,4")
+            assert code == 1
+            verdict = {c["name"]: c for c in json.loads(out)["checks"]}
+            assert verdict["tomogram_normalization_max_error"]["holds"] is False
 
     def test_default_grid(self, tmp_path, capsys):
         rho_path = tmp_path / "rho.json"

@@ -83,6 +83,9 @@ class TestQubitReconstruction:
             QubitProbabilities(1.2, 0.5, 0.5)
 
 
+_B = ((1.0 + 0.99e-10) / 2 + 0.99e-10) * (1.0 - 1.0j) / 2**0.5
+
+
 class TestQubitInverse:
     def test_examples(self):
         assert probabilities_from_qubit(validate(np.eye(2) / 2)) == QubitProbabilities(0.5, 0.5, 0.5)
@@ -108,6 +111,10 @@ class TestQubitInverse:
                   [(1.0 + 1.0j) * (1.0 + 1.98e-10) / 8**0.5, 0.5]]),
         # The trace error 0.99e-10 moves p3 to 1 + 1.98e-10.
         np.diag([1.0 + 1.98e-10, -0.99e-10]),
+        # Trace 1 + t with t = 0.99e-10 and |b| = (1 + t)/2 + 0.99e-10: eigenvalues -0.99e-10 and
+        # 1 + 1.98e-10.  Read at trace 1, its Bloch radius 1 + 2.97e-10 would be rebuilt with
+        # negative mass 1.485e-10; divided by the trace, it is 1 + 1.98e-10 / (1 + t).
+        np.array([[(1.0 + 0.99e-10) / 2, _B], [np.conj(_B), (1.0 + 0.99e-10) / 2]]),
     ])
     def test_every_qubit_the_check_accepts_round_trips(self, matrix):
         state = validate(matrix)

@@ -81,6 +81,25 @@ class TestDirection:
         with pytest.raises(DomainError, match=name):
             Direction(*angles)
 
+    @pytest.mark.parametrize("theta, phi, psi, message", [
+        # A bad phi in entry 0 is named before a bad theta in entry 1.
+        ([0.3, 4.0], [7.0, 0.1], 0.0, "phi = 7.0 outside [0, 2*pi)"),
+        ([0.3, 0.2, -1.0], [0.1, 0.1, 9.0], [0.0, math.inf, 0.0], "psi = inf is not finite"),
+        ([[0.1, 5.0], [0.2, 0.3]], [[0.1, 0.1], [-2.0, 0.1]], 0.0,
+         "theta = 5.0 outside [0, pi]"),
+        (math.nan, [0.1, 0.2], 0.0, "theta = nan outside [0, pi]"),
+    ])
+    def test_arrays_name_the_first_bad_entry(self, theta, phi, psi, message):
+        arrays = [a if isinstance(a, float) else np.array(a) for a in (theta, phi, psi)]
+        with pytest.raises(DomainError) as info:
+            tomography.check_angles(*arrays)
+        assert str(info.value) == message
+
+    def test_arrays_of_good_angles_come_back_as_given(self):
+        theta, phi = np.array([0.0, math.pi]), np.array([0.0, math.nextafter(2.0 * math.pi, 0.0)])
+        got = tomography.check_angles(theta, phi, 0.0)
+        assert got[0] is theta and got[1] is phi and got[2] == 0.0
+
 
 class TestSpinRep:
     @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.5, 3.5])
@@ -375,7 +394,7 @@ class TestDirectionSweep:
 
     def test_maximally_mixed_all_zero(self):
         sweep = direction_sweep(np.eye(4) / 4, SpinRep(1.5), Factorization((2, 2)), self.grid())
-        assert len(sweep.directions) == 25
+        assert sweep.angles.shape == (25, 3)
         assert sweep.values.shape == (25, 4)
         assert sweep.information.shape == sweep.normalization_error.shape == (25,)
         assert np.abs(sweep.information).max() <= 1e-12
@@ -404,7 +423,7 @@ class TestDirectionSweep:
         rng = np.random.default_rng(35)
         grid = self.grid(10, 10)
         sweep = direction_sweep(random_density(rng, 4), SpinRep(1.5), Factorization((2, 2)), grid)
-        assert sweep.directions == grid
+        assert sweep.angles.tolist() == [[d.theta, d.phi, d.psi] for d in grid]
         assert sweep.tsallis == {}
         assert sweep.normalization_error.max() <= 1e-10
         assert sweep.information.min() >= -1e-10
@@ -415,13 +434,14 @@ class TestDirectionSweep:
         rep = SpinRep(2.5)
         state = validate(random_density(rng, 6))
         qs = (TsallisParam(0.5), TsallisParam(2.0), TsallisParam(3.0))
-        sweep = direction_sweep(state.matrix, rep, f, self.grid(4, 4), qs)
+        grid = self.grid(4, 4)
+        sweep = direction_sweep(state.matrix, rep, f, grid, qs)
         assert sorted(sweep.tsallis) == [0.5, 2.0, 3.0]
         for table in sweep.tsallis.values():
             assert table.shape == (4, 16)
             # The margin row is S_q1 + S_q2 - S_q of the rows above it, bit for bit.
             assert np.array_equal(table[3], table[0] + table[1] - table[2])
-        for k, direction in enumerate(sweep.directions):
+        for k, direction in enumerate(grid):
             table = tomogram(state, rep, direction)
             assert np.abs(sweep.values[k] - table.values).max() <= 1e-12
             assert abs(sweep.normalization_error[k] - table.normalization_error) <= 1e-12
