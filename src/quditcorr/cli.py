@@ -42,7 +42,7 @@ from .quantum import (
     separability_test,
     validate,
 )
-from .reporting import CheckRecord, Report, check, holds, json_line
+from .reporting import CheckRecord, Report, check, json_line
 from .tolerances import (
     CHSH_ATOL,
     DEMO_CLOSED_FORM_ATOL,
@@ -53,7 +53,7 @@ from .tolerances import (
     SUBADDITIVITY_ATOL,
     TOMOGRAM_SUM_ATOL,
 )
-from .tomography import check_two_axes, direction_sweep, spin_rep
+from .tomography import check_two_axes, direction_sweep, spin_rep, tsallis_reports
 
 
 def _dims_arg(text: str) -> tuple[int, ...]:
@@ -249,12 +249,7 @@ def _cmd_tomogram_sweep(args) -> Report:
     sweep = direction_sweep(matrix, rep, factorization, grid, qs)
 
     if args.out:
-        columns = {}
-        for tq in qs:
-            table = sweep.tsallis[tq.q]
-            verdicts = holds(table[3], SUBADDITIVITY_ATOL).tolist()
-            columns[tq.label] = [{"s_q1": a, "s_q2": b, "s_q": c, "subadditivity_holds": h}
-                                 for a, b, c, h in zip(*table[:3].tolist(), verdicts)]
+        columns = {tq.label: tsallis_reports(sweep.tsallis[tq.q]) for tq in qs}
         rows = zip(sweep.angles.tolist(), sweep.values.tolist(), sweep.information.tolist(),
                    sweep.normalization_error.tolist())
         payloads = ({"theta": theta, "phi": phi, "psi": psi, "values": values,

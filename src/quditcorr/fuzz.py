@@ -19,7 +19,7 @@ import numpy as np
 from ._kernels import relative_shannon, relative_tsallis, shannon, split_entropies
 from .classical import block_marginals, probability_rows
 from .errors import DomainError
-from .quantum import block_reductions, certify_stack, stack_spectra
+from .quantum import block_reductions, stack_spectra
 from .qubit_qutrit import qubit_matrices, qutrit_distributions, xy_distributions, zx_distributions
 from .sampling import bloch_ball_stack, dirichlet_rows, ginibre_densities, ginibre_states
 from .sampling import random_directions, random_factorizations
@@ -112,8 +112,8 @@ def quantum_margin(block):
 
 
 def draw_qubits(rng, size):
-    """Checked 2x2 matrices built from Bloch-ball probabilities."""
-    return certify_stack(qubit_matrices(bloch_ball_stack(rng, size)))
+    """2x2 matrices of Bloch-ball probabilities, which bloch_probabilities checked as states."""
+    return qubit_matrices(bloch_ball_stack(rng, size))
 
 
 def draw_qutrits(rng, size):

@@ -34,10 +34,11 @@ class _Constant(str):
 
 
 def _read_json(path: Path):
-    """(parsed JSON of the UTF-8 file, whether its text holds a 't' or an 'f').
-    A JSON true or false puts one there, so without either no value is one."""
+    """(parsed JSON of the UTF-8 file, whether its text holds "true" or "false").  A letter is
+    found faster than a word, so each word is looked for only where its first letter is."""
     return _read(path, lambda text: (json.loads(text, parse_constant=_Constant),
-                                     "t" in text or "f" in text))
+                                     ("t" in text and "true" in text)
+                                     or ("f" in text and "false" in text)))
 
 
 def _numbers(path: Path, value, what: str, booleans: bool, shape=None) -> np.ndarray:

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import _kernels
 from .classical import TsallisParam
-from .errors import DomainError, NotPSD, UsageError
+from .errors import DomainError, UsageError
 from .partition import real
-from .quantum import DensityMatrix
+from .quantum import DensityMatrix, certify_stack
 from .reporting import CheckRecord, check
 from .tolerances import PSD_ATOL, QUTRIT_DIAG_SLOP, SUBADDITIVITY_ATOL, TRACE_ATOL
 
@@ -28,10 +28,9 @@ def _pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.stack([first, second], axis=-1)
 
 
-# A checked qubit [[a, b], [b*, d]] has a + d = 1 + t, |t| <= TRACE_ATOL, and eigenvalues
-# (1 + t)/2 -/+ R, R = |(2b, a - d)|/2, whose negative mass max(0, R - (1 + t)/2) is at most
-# PSD_ATOL: each p lies within PSD_ATOL + TRACE_ATOL of [0, 1], and as r_z = 2a - 1 = a - d + t,
-# the Bloch radius is at most 2R + |t| <= 1 + 2 (PSD_ATOL + TRACE_ATOL).
+# A checked qubit [[a, b], [b*, d]] of trace T = 1 +/- TRACE_ATOL and negative mass sigma has
+# a, d >= -sigma and |b| <= T/2 + sigma, so each p probabilities_from_qubit reads (a/T, 1/2 +
+# Re b/T, 1/2 - Im b/T) lies within sigma/T <= PSD_ATOL + TRACE_ATOL of [0, 1].
 def _unit_interval(values, names, slack=PSD_ATOL + TRACE_ATOL) -> np.ndarray:
     """Clamp (..., k) probabilities named `names` into [0, 1]; reject any
     (NaN too) further than `slack` outside it."""
@@ -44,18 +43,16 @@ def _unit_interval(values, names, slack=PSD_ATOL + TRACE_ATOL) -> np.ndarray:
 
 
 def bloch_probabilities(values) -> np.ndarray:
-    """Check (..., 3) spin-projection probabilities (p1, p2, p3) as
-    QubitProbabilities does; return them clamped into [0, 1]."""
+    """Check (..., 3) spin-projection probabilities (p1, p2, p3) as QubitProbabilities does:
+    clamped into [0, 1], they must give states the state check accepts; return them clamped."""
     p = _unit_interval(values, ("p1", "p2", "p3"))
-    worst = float(((2.0 * p - 1.0) ** 2).sum(axis=-1).max()) ** 0.5
-    if not worst <= 1.0 + 2.0 * (PSD_ATOL + TRACE_ATOL):
-        raise NotPSD(f"Bloch radius {worst:.12f} exceeds 1")
+    certify_stack(qubit_matrices(p))  # the trace-1 matrices p parametrizes
     return p
 
 
 @dataclass(frozen=True)
 class QubitProbabilities:
-    """Spin-projection probabilities along x, y, z; must sit in the Bloch ball."""
+    """Spin-projection probabilities along x, y, z; they must parametrize a state."""
 
     p1: float
     p2: float

@@ -285,10 +285,11 @@ class TsallisTomogramReport:
     subadditivity_holds: bool
 
 
-def tsallis_reports(table: np.ndarray) -> list[TsallisTomogramReport]:
-    """One report per column of a (4, n) table of S_q1, S_q2, S_q and the margin."""
+def tsallis_reports(table: np.ndarray) -> list[dict]:
+    """The record entry of each column of a (4, n) table of S_q1, S_q2, S_q and the margin."""
     verdicts = holds(table[3], SUBADDITIVITY_ATOL).tolist()
-    return [TsallisTomogramReport(*row) for row in zip(*table[:3].tolist(), verdicts)]
+    return [{"s_q1": a, "s_q2": b, "s_q": c, "subadditivity_holds": h}
+            for a, b, c, h in zip(*table[:3].tolist(), verdicts)]
 
 
 def tomographic_tsallis_report(
@@ -298,7 +299,7 @@ def tomographic_tsallis_report(
     with the subadditivity verdict S_q1 + S_q2 >= S_q."""
     values = table.values
     entropies = _kernels.split_entropies(*marginal_pair(values, factorization), values, tq.q)
-    return tsallis_reports(np.reshape(entropies, (4, 1)))[0]
+    return TsallisTomogramReport(**tsallis_reports(np.reshape(entropies, (4, 1)))[0])
 
 
 def tomographic_tsallis_relative(
@@ -338,17 +339,21 @@ class Sweep(NamedTuple):
 def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs=()) -> Sweep:
     """Evaluate the tomographic diagnostics of the N x N state `matrix` over a direction grid.
 
-    The grid is Directions or, as io.load_direction_grid returns it, an (n, 3) array of checked
-    (theta, phi, psi) rows.  The matrix is checked against rep's dimension, then as a state by
-    certify_stack (the refusals and messages are DensityMatrix's, with one Cholesky factorization
-    in place of the spectrum), then the partition, all before any tomogram, which is judged no
-    further.  One tomogram_diagonals call computes every direction, each row bit for bit as
-    `tomogram` would on validate(matrix); marginals and entropies are taken once.
+    The grid (Directions, or an (n, 3) array of theta, phi, psi rows as io.load_direction_grid
+    returns) is checked as one array: its shape, then its angles by check_angles.  The matrix is
+    checked against rep's dimension, then as a state by certify_stack (DensityMatrix's refusals,
+    with one Cholesky factorization in place of the spectrum), then the partition, all before
+    any tomogram, which is judged no further.  One tomogram_diagonals call computes every row,
+    bit for bit as `tomogram` would on validate(matrix); marginals and entropies are taken once.
     """
     if not isinstance(grid, np.ndarray):
-        grid = np.array([(d.theta, d.phi, d.psi) for d in grid], dtype=float).reshape(-1, 3)
-    if not len(grid):
+        grid = [(d.theta, d.phi, d.psi) for d in grid]
+    grid = numeric_array(grid, float, "direction grid")
+    if not grid.size:
         raise UsageError("direction grid is empty")
+    if grid.ndim != 2 or grid.shape[1] != 3:
+        raise UsageError(f"direction grid must be (n, 3) rows of theta, phi, psi, got {grid.shape}")
+    check_angles(*grid.T)
     if isinstance(matrix, DensityMatrix):
         raise UsageError("direction_sweep takes the state's N x N matrix: pass state.matrix")
     rho = numeric_array(matrix, complex, "state matrix")
@@ -356,7 +361,7 @@ def direction_sweep(matrix, rep: SpinRep, factorization: Factorization, grid, qs
     rho = certify_stack(rho)
     _check_partition(factorization, rep.dim)
     values, errors = tomogram_values(tomogram_diagonals(rep, grid[:, 0], grid[:, 1], rho))
-    first, second = map(probability_rows, block_marginals(values, factorization.dims[0]))
+    first, second = marginal_pair(values, factorization)
     entropies = {tq.q: np.array(_kernels.split_entropies(first, second, values, tq.q)) for tq in qs}
     information = _kernels.split_entropies(first, second, values)[3]
     return Sweep(grid, values, errors, information, entropies)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from quditcorr import cli, tomography
 from quditcorr.cli import build_parser, main
 from quditcorr.fuzz import BLOCK
 from quditcorr.io import (
+    _read_json,
     density_matrix_payload,
     load_density_matrix,
     load_direction_grid,
@@ -203,6 +205,25 @@ class TestDirectionGridArray:
         kind, message = _refusal(load_direction_grid, path)
         assert (kind, message) == _refusal(load_direction_grid_ref, path)
         assert message.startswith(f"{path}: entry 1 has a non-numeric angle: ")
+
+    @pytest.mark.parametrize("text, booleans", [
+        ('[{"theta": 0.3, "phi": 0.1, "psi": -1e-3}]', False),
+        ('[{"theta": 0.3, "phi": 0.1, "note": "true"}]', True),
+        ('[{"theta": 0.3, "phi": false}]', True),
+    ])
+    def test_only_a_grid_holding_true_or_false_is_walked(self, tmp_path, text, booleans):
+        path = tmp_path / "grid.json"
+        path.write_text(text)
+        assert _read_json(path)[1] is booleans
+
+    def test_a_boolean_angle_is_named(self, tmp_path):
+        entries = [{"theta": 0.1 * k, "phi": 0.2 * k} for k in range(5)]
+        entries[3]["psi"] = True
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(entries))
+        message = f"{path}: entry 3 has a non-numeric angle: true and false are not numbers"
+        for load in (load_direction_grid, load_direction_grid_ref):
+            assert _refusal(load, path) == (UsageError, message)
 
     def test_range_edges_are_accepted(self, tmp_path):
         below_two_pi = math.nextafter(2.0 * math.pi, 0.0)
@@ -430,6 +451,8 @@ class TestTomogramSweep:
             for d, t, r in zip(grid, tables, reports)
         ]
         assert records_path.read_text().splitlines() == expected
+        entries = [json.loads(line)["tsallis"] for line in records_path.read_text().splitlines()]
+        assert entries == [{f"{q:g}": asdict(report) for q, report in r.items()} for r in reports]
 
     def test_json_line_infinities_and_nan(self):
         record = {

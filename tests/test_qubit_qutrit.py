@@ -29,6 +29,7 @@ from quditcorr import (
     validate,
 )
 from quditcorr.fuzz import family_table
+from quditcorr.qubit_qutrit import qubit_matrices
 from quditcorr.sampling import bloch_ball_probabilities
 from quditcorr.tolerances import PSD_ATOL, SUBADDITIVITY_ATOL, TRACE_ATOL
 
@@ -75,7 +76,7 @@ class TestQubitReconstruction:
         assert abs(state.matrix[0, 0] - 0.5) < 1e-15
 
     def test_bloch_violation_raises_not_psd(self):
-        with pytest.raises(NotPSD, match="radius"):
+        with pytest.raises(NotPSD, match="negative eigenvalue mass"):
             QubitProbabilities(1.0, 1.0, 1.0)
 
     def test_field_range(self):
@@ -124,14 +125,40 @@ class TestQubitInverse:
         assert probabilities_from_qubit(back) == qp
 
     def test_bloch_radius_bound_follows_the_state_check(self):
-        # r <= 1 + 2 (PSD_ATOL + TRACE_ATOL), and each p within PSD_ATOL + TRACE_ATOL of [0, 1].
-        edge = 0.5 + (1.0 + 3.9e-10) / 12**0.5  # radius 1 + 3.9e-10 along (1, 1, 1)
+        # The trace-1 matrix of Bloch radius r has negative mass (r - 1)/2, so r <= 1 + 2 PSD_ATOL;
+        # each p lies within PSD_ATOL + TRACE_ATOL of [0, 1].
+        edge = 0.5 + (1.0 + 1.9e-10) / 12**0.5  # radius 1 + 1.9e-10 along (1, 1, 1)
         assert QubitProbabilities(edge, edge, edge).p1 == edge
-        with pytest.raises(NotPSD, match="Bloch radius"):
-            QubitProbabilities(*[0.5 + (1.0 + 4.1e-10) / 12**0.5] * 3)
+        for excess in (2.1e-10, 3.9e-10):
+            with pytest.raises(NotPSD, match="negative eigenvalue mass"):
+                QubitProbabilities(*[0.5 + (1.0 + excess) / 12**0.5] * 3)
         assert QubitProbabilities(0.5, 0.5, 1.0 + 1.9e-10).p3 == 1.0
         with pytest.raises(DomainError, match="p3"):
             QubitProbabilities(0.5, 0.5, 1.0 + 2.1e-10)
+
+    def test_probabilities_accept_exactly_the_states_the_check_accepts(self):
+        # Bloch radii across 1 -/+ 5e-10, along the six axis directions and 20 seeded others.
+        rng = np.random.default_rng(31)
+        others = rng.standard_normal((20, 3))
+        others /= np.linalg.norm(others, axis=1, keepdims=True)
+        directions = np.vstack([np.eye(3), -np.eye(3), others])
+        outcomes = []
+        for n in directions:
+            for excess in np.linspace(-5e-10, 5e-10, 21):
+                p = 0.5 + (1.0 + excess) * n / 2.0
+                try:
+                    qp = QubitProbabilities(*p)
+                except NotPSD:  # the matrix of the clamped p is refused as a state too
+                    with pytest.raises(NotPSD):
+                        validate(qubit_matrices(np.clip(p, 0.0, 1.0)))
+                    outcomes.append("refused")
+                except DomainError:  # a p outside [0, 1] by more than the slack
+                    assert np.abs(p - np.clip(p, 0.0, 1.0)).max() > PSD_ATOL + TRACE_ATOL
+                    outcomes.append("out of range")
+                else:
+                    assert qubit_from_probabilities(qp).dim == 2
+                    outcomes.append("accepted")
+        assert {"accepted", "refused", "out of range"} == set(outcomes)
 
     def test_imaginary_sign_convention(self):
         # p2 above one half must mean a negative imaginary off-diagonal.

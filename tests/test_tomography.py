@@ -11,6 +11,7 @@ from quditcorr import (
     Factorization,
     NotHermitian,
     ProbabilityVector,
+    QuditCorrError,
     SpinRep,
     TsallisParam,
     UsageError,
@@ -409,7 +410,7 @@ class TestDirectionSweep:
         np.testing.assert_allclose(sweep.values[0], [0.5, 0.0, 0.0, 0.5], atol=1e-13)
         assert abs(sweep.information[0] - LN2) <= 1e-12
         assert sweep.tsallis[2.0].shape == (4, 1)
-        assert tsallis_reports(sweep.tsallis[2.0])[0].subadditivity_holds
+        assert tsallis_reports(sweep.tsallis[2.0])[0]["subadditivity_holds"]
 
     def test_values_reach_down_to_the_state_floor(self):
         # A checked state's tomogram row is a pinching of it, so its negative values sum to no
@@ -458,7 +459,7 @@ class TestDirectionSweep:
                 assert abs(s_q - expected.s_q) <= 1e-12
                 assert abs(margin - (expected.s_q1 + expected.s_q2 - expected.s_q)) <= 1e-12
                 got = tsallis_reports(sweep.tsallis[tq.q])[k]
-                assert got.subadditivity_holds == expected.subadditivity_holds
+                assert got["subadditivity_holds"] == expected.subadditivity_holds
 
     # N = 5 is odd, so its middle row of d is the computed one that maps onto itself.
     @pytest.mark.parametrize("n, dims", [(5, (5, 1)), (16, (4, 4)), (64, (8, 8))])
@@ -497,6 +498,44 @@ class TestDirectionSweep:
             direction_sweep(matrix, SpinRep(1.0), Factorization((3, 1)), [])
         with pytest.raises(UsageError, match=message):
             direction_sweep(matrix, SpinRep(1.0), Factorization((3, 1)), [Direction(0.3, 0.4)])
+
+    def test_direction_list_and_array_give_the_same_sweep(self):
+        grid = [*self.grid(3, 4), Direction(1.1, 4.2, psi=-2.5)]
+        state = random_density(np.random.default_rng(38), 4)
+        args = (SpinRep(1.5), Factorization((2, 2)))
+        qs = (TsallisParam(0.5), TsallisParam(2.0))
+        listed = direction_sweep(state, *args, grid, qs)
+        array = direction_sweep(state, *args, np.array([[d.theta, d.phi, d.psi] for d in grid]), qs)
+        for got, expected in zip(array[:4], listed[:4]):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert array.tsallis.keys() == listed.tsallis.keys()
+        for q, table in listed.tsallis.items():
+            assert array.tsallis[q].tobytes() == table.tobytes()
+
+    # Rows 0 and 3 are in range; row 1 is the first bad entry, and row 2 is bad too.
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 0.4, 0.0), (0.3, math.nan, 0.0), (0.3, 0.4, math.inf), (0.3, 0.4, -math.inf),
+        (math.nextafter(math.pi, 4.0), 0.4, 0.0), (0.3, 2.0 * math.pi, 0.0), (-0.1, 7.0, math.nan),
+    ])
+    def test_grid_angles_are_refused_as_a_direction_refuses_them(self, bad):
+        grid = np.array([(0.3, 0.4, 0.0), bad, (4.0, -1.0, math.inf), (0.0, 0.0, 0.0)])
+        with pytest.raises(QuditCorrError) as expected:
+            Direction(*bad)
+        with pytest.raises(type(expected.value)) as got:
+            direction_sweep(np.eye(4) / 4, SpinRep(1.5), Factorization((2, 2)), grid)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("grid, message", [
+        (np.array([0.1, 0.2, 0.0]), r"\(n, 3\) rows of theta, phi, psi, got \(3,\)$"),
+        (np.array([[0.1, 0.2], [0.3, 0.4]]), r"\(n, 3\) rows of theta, phi, psi, got \(2, 2\)$"),
+        (np.full((2, 4), 0.1), r"\(n, 3\) rows of theta, phi, psi, got \(2, 4\)$"),
+        (np.array([[0.1, 0.2, 0.0], [0.3, None, 0.0]], dtype=object),
+         "^direction grid must be an array of numbers: None is not a number$"),
+        (np.zeros((0, 3)), "^direction grid is empty$"),
+    ])
+    def test_grid_form_is_refused(self, grid, message):
+        with pytest.raises(UsageError, match=message):
+            direction_sweep(np.eye(4) / 4, SpinRep(1.5), Factorization((2, 2)), grid)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError, match="empty"):

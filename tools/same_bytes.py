@@ -3,14 +3,14 @@
     python3 tools/same_bytes.py [REV]        (REV defaults to HEAD)
 
 The script extracts src/ at REV with `git archive`, writes a fixed corpus of
-92 commands and their inputs (drawn with numpy from a fixed seed) into one
+94 commands and their inputs (drawn with numpy from a fixed seed) into one
 temporary directory, and runs the corpus in one fresh interpreter per tree:
 REV's src/ and the working tree's src/. Both trees read the same input paths,
 so the paths echoed in reports agree. For each command it compares the exit
 code, stdout, stderr and the bytes of the --out file. It prints each mismatch,
 with the first line that differs in each differing stream (old -> new), and
 each working-tree command that raised or exited other than 0 or 2 (a crash
-both trees share would otherwise count as identical), then "k/92 identical"
+both trees share would otherwise count as identical), then "k/94 identical"
 and how many commands exit 2, and exits 1 on any of those findings.
 """
 
@@ -91,7 +91,7 @@ def _write(path: Path, data) -> None:
 
 
 def write_corpus(tmp: Path) -> list:
-    """The 92 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
+    """The 94 (argv, --out path or None) pairs, with their inputs written under `tmp`."""
     rng = np.random.default_rng(20171)
     commands = [(["demo-four-level"], None), (["fuzz", "--seed", "1"], None),
                 (["fuzz", "--seed", "7", "--q", "0.5", "--q", "2", "--q", "4"], None),
@@ -187,7 +187,9 @@ def write_corpus(tmp: Path) -> list:
                  (["tomogram-sweep", "--input", bell, "--dims", "2,2",
                    "--grid", str(tmp / "overflow_grid.json")], None)]
     # Grids with two bad entries: the first bad entry is named, and within an entry its form,
-    # then its numbers, then its ranges. Then a grid at the range edges, which is accepted.
+    # then its numbers, then its ranges. Then a true among five entries, a grid that holds the
+    # word true only in a string (so it is searched for booleans, and accepted), and a grid at
+    # the range edges, which is accepted.
     grids = {"phi_0_theta_1.json": '[{"theta": 0.3, "phi": 7.0}, {"theta": 4.0, "phi": 0.1}]',
              "range_1_key_2.json": '[{"theta": 0.3, "phi": 0.1}, {"theta": -0.5, "phi": 0.1}, '
                                    '{"theta": 0.3}]',
@@ -196,6 +198,11 @@ def write_corpus(tmp: Path) -> list:
              "infinity_0_range_1.json": '[{"theta": 0.3, "phi": 0.1, "psi": Infinity}, '
                                         '{"theta": 9.0, "phi": 0.1}]',
              "key_0_range_1.json": '[[0.3, 0.1], {"theta": 9.0, "phi": 0.1}]',
+             "true_3_of_5.json": json.dumps([{"theta": 0.1 * k, "phi": 0.2 * k}
+                                             | ({"psi": True} if k == 3 else {})
+                                             for k in range(5)]),
+             "true_text_grid.json": '[{"theta": 0.3, "phi": 0.1, "note": "true"}, '
+                                    '{"theta": 1.2, "phi": 4.0}]',
              "edge_grid.json": json.dumps([{"theta": np.pi, "phi": np.nextafter(2.0 * np.pi, 0.0)},
                                            {"theta": 0.0, "phi": 0.0, "psi": -3.0}])}
     for name, text in grids.items():
